@@ -8,17 +8,17 @@ from itertools import product
 
 from .errors import InvalidArgs, RankMismatch
 from .qindex import MultiIndex, star
-from .qring import LaurentPoly, q_binom, q_power
+from .qring import LaurentPoly, LinComb, q_binom, q_power
 
 
-class Element:
+class Element(LinComb):
     """A finite Laurent-coefficient combination of basis monomials x^(beta).
 
-    terms maps MultiIndex (nonnegative entries) to a nonzero LaurentPoly;
-    the canonical form makes structural equality semantic equality.
+    terms maps MultiIndex (nonnegative entries) to a nonzero LaurentPoly.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _json_field = "beta"
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -33,10 +33,6 @@ class Element:
         self.terms = cleaned
 
     @staticmethod
-    def zero(n: int) -> "Element":
-        return Element(n)
-
-    @staticmethod
     def monomial(beta: MultiIndex, coeff: LaurentPoly | int = 1) -> "Element":
         if isinstance(coeff, int):
             coeff = LaurentPoly({0: coeff})
@@ -46,80 +42,21 @@ class Element:
     def unit(n: int) -> "Element":
         return Element.monomial(MultiIndex.zero(n))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "Element") -> None:
-        if self.n != other.n:
-            raise RankMismatch(f"rank {self.n} vs {other.n}")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        out = dict(self.terms)
-        for beta, c in other.terms.items():
-            s = out.get(beta, LaurentPoly.zero()) + c
-            if s:
-                out[beta] = s
-            else:
-                out.pop(beta, None)
-        return _raw(self.n, out)
-
-    def __neg__(self) -> "Element":
-        return _raw(self.n, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | int) -> "Element":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        if not c:
-            return Element.zero(self.n)
-        return _raw(self.n, {b: co * c for b, co in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Element):
             return mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Element) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[MultiIndex, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].entries)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Element(0)"
-        body = " + ".join(f"({c}) x^{list(b.entries)}" for b, c in self.sorted_terms())
-        return f"Element({body})"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"beta": b.to_json(), "coeff": c.to_json()}
-                      for b, c in self.sorted_terms()],
-        }
+    @staticmethod
+    def _sort_key(beta: MultiIndex):
+        return beta.entries
 
     @staticmethod
-    def from_json(obj: dict) -> "Element":
-        terms = {MultiIndex.from_json(t["beta"]): LaurentPoly.from_json(t["coeff"])
-                 for t in obj["terms"]}
-        return Element(int(obj["n"]), terms)
+    def _key_text(beta: MultiIndex) -> str:
+        return f"x^{list(beta.entries)}"
 
-
-def _raw(n: int, terms: dict) -> Element:
-    e = Element.__new__(Element)
-    e.n = n
-    e.terms = terms
-    return e
+    _key_json = staticmethod(MultiIndex.to_json)
+    _key_from_json = staticmethod(MultiIndex.from_json)
 
 
 def mul_monomial(alpha: MultiIndex, beta: MultiIndex) -> Element:

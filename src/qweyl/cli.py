@@ -27,9 +27,19 @@ from .uqrealize import (build_realization, classical_degeneration_check,
 from .weylops import (apply, normalize, op_eq_up_to_degree, sweep_actions,
                       verify_weyl_relations)
 
-SUITES = ("weyl", "serre", "gl", "prop32", "braid", "lemma34", "theorem33",
-          "lemma21", "classical", "all")
-_NEEDS_RANK2 = {"gl", "prop32", "braid", "lemma34"}
+# The relation suites in report order: name -> (least n, runner(cfg)).
+# "verify all" skips a suite whose least n exceeds --n.
+SUITES = {
+    "weyl": (1, lambda c: verify_weyl_relations(c.n, c.degree)),
+    "serre": (1, lambda c: verify_serre(c.n, c.degree)),
+    "gl": (2, lambda c: verify_gl(c.n, c.degree)),
+    "prop32": (2, lambda c: prop32_check(c.n, c.degree)),
+    "braid": (2, lambda c: braid_relation_check(c.n, c.degree)),
+    "lemma34": (2, lambda c: lemma34_check(c.n, c.degree)),
+    "theorem33": (1, lambda c: theorem33_check(c.n, c.degree, word=c.word)),
+    "lemma21": (1, lambda c: lemma21_check(c.n, max_degree=c.degree)),
+    "classical": (1, lambda c: classical_degeneration_check(c.n, c.degree)),
+}
 
 
 @dataclass
@@ -78,43 +88,20 @@ def _emit(cfg: CliConfig, text: str) -> None:
             fh.write(text + "\n")
 
 
-def _run_suite(name: str, cfg: CliConfig) -> VerificationReport:
-    n, d = cfg.n, cfg.degree
-    if name == "weyl":
-        return verify_weyl_relations(n, d)
-    if name == "serre":
-        return verify_serre(n, d)
-    if name == "gl":
-        return verify_gl(n, d)
-    if name == "prop32":
-        return prop32_check(n, d)
-    if name == "braid":
-        return braid_relation_check(n, d)
-    if name == "lemma34":
-        return lemma34_check(n, d)
-    if name == "theorem33":
-        return theorem33_check(n, d, word=cfg.word)
-    if name == "lemma21":
-        return lemma21_check(n, max_degree=d)
-    if name == "classical":
-        return classical_degeneration_check(n, d)
-    raise _ConfigError(f"unknown suite {name!r}")
-
-
 def _cmd_verify(args) -> int:
     cfg = _build_config(args)
     if args.suite == "all":
         reports = []
-        for name in SUITES[:-1]:
-            if cfg.n < 2 and name in _NEEDS_RANK2:
+        for name, (min_n, runner) in SUITES.items():
+            if cfg.n < min_n:
                 skipped = VerificationReport(name, cfg.n, cfg.degree)
                 skipped.add(RelationResult(f"suite:{name}", "skipped",
-                                           {"reason": "requires n >= 2"}))
+                                           {"reason": f"requires n >= {min_n}"}))
                 reports.append(skipped)
-                continue
-            reports.append(_run_suite(name, cfg))
+            else:
+                reports.append(runner(cfg))
     else:
-        reports = [_run_suite(args.suite, cfg)]
+        reports = [SUITES[args.suite][1](cfg)]
     failed = sum(r.failed for r in reports)
     if cfg.fmt == "json":
         if len(reports) == 1:
@@ -234,7 +221,7 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="worker cap (sweeps are evaluated deterministically)")
 
     p = sub.add_parser("verify", help="run a relation suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     common(p)
     p.add_argument("--word", help="comma-separated reduced braid word")
     p.set_defaults(func=_cmd_verify)

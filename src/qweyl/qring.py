@@ -4,14 +4,15 @@ LaurentPoly is the coefficient ring for the whole package: monomial
 products, operator coefficients and every relation check stay exact.
 Coefficients are arbitrary-precision Python ints and the representation
 is canonical (zero terms are never stored), so structural equality is
-ring equality.
+ring equality.  LinComb is the shared base of the sparse combinations
+with LaurentPoly coefficients (monomials, operator words, formal words).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidArgs, NotDivisible
+from .errors import InvalidArgs, NotDivisible, RankMismatch
 
 
 class LaurentPoly:
@@ -52,7 +53,11 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # A constant hashes like the int it equals (the zero polynomial like 0).
+        terms = self.terms
+        if not terms or (len(terms) == 1 and 0 in terms):
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -182,14 +187,6 @@ def q_power(k: int, coeff: int = 1) -> LaurentPoly:
     return LaurentPoly({k: coeff})
 
 
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient num/den in Z[q, q^-1].
 
@@ -273,3 +270,106 @@ def eval_at_one(p: LaurentPoly) -> int:
 
 def bar(p: LaurentPoly) -> LaurentPoly:
     return p.bar()
+
+
+def accumulate(out: dict, key, coeff) -> None:
+    """Add coeff to out[key] in place, dropping the key when the sum is 0."""
+    s = out[key] + coeff if key in out else coeff
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class LinComb:
+    """A finite combination of hashable keys with nonzero LaurentPoly
+    coefficients, at a fixed rank n; the canonical form makes structural
+    equality semantic equality.
+
+    Subclasses validate keys in __init__, define the product __mul__ and
+    the key hooks _sort_key, _key_json and _key_from_json.  _key_text and
+    _json_field (the key's name in the JSON form) default to a word of
+    symbols.
+    """
+
+    __slots__ = ("n", "terms")
+    _json_field = "word"
+
+    @classmethod
+    def _raw(cls, n: int, terms: dict):
+        # Internal constructor for already-canonical dicts.
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls._raw(n, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other) -> None:
+        if self.n != other.n:
+            raise RankMismatch(f"rank {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self._raw(self.n, out)
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: LaurentPoly | int):
+        if isinstance(c, int):
+            c = LaurentPoly({0: c})
+        if not c:
+            return self.zero(self.n)
+        return self._raw(self.n, {k: co * c for k, co in self.terms.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        # Exact types: combinations of different kinds never compare equal.
+        return (type(other) is type(self) and self.n == other.n
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
+
+    @staticmethod
+    def _key_text(word) -> str:
+        return " ".join(map(repr, word)) if word else "1"
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        body = " + ".join(f"({c}) {self._key_text(k)}"
+                          for k, c in self.sorted_terms())
+        return f"{name}({body})"
+
+    def to_json(self) -> dict:
+        field = self._json_field
+        return {
+            "n": self.n,
+            "terms": [{field: self._key_json(k), "coeff": c.to_json()}
+                      for k, c in self.sorted_terms()],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        field = cls._json_field
+        terms = {cls._key_from_json(t[field]): LaurentPoly.from_json(t["coeff"])
+                 for t in obj["terms"]}
+        return cls(int(obj["n"]), terms)

@@ -39,6 +39,11 @@ class VerificationReport:
     def add(self, result: RelationResult) -> None:
         self.relations.append(result)
 
+    def record(self, rel_id: str, counterexample: dict | None) -> None:
+        """Record a checked relation: a pass, or a fail with its counterexample."""
+        self.add(RelationResult(rel_id, "pass" if counterexample is None
+                                else "fail", counterexample))
+
     def to_json(self) -> dict:
         out: dict = {"check": self.check, "n": self.n}
         if self.rank_sl is not None:

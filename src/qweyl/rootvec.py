@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .aqn import Element
 from .errors import InvalidArgs, InvalidIndex, NotDivisible, RankMismatch
 from .qindex import MultiIndex
-from .qring import LaurentPoly, exact_div, q_int, q_power
-from .report import RelationResult, VerificationReport
+from .qring import LaurentPoly, LinComb, accumulate, exact_div, q_int, q_power
+from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, cartan_matrix,
                         corner_lowering_op, corner_raising_op,
                         diagonal_sigma_op, q_euler_eigenvalue)
@@ -70,83 +70,44 @@ def _symbol_key(s: UqSymbol):
     return ({"E": 0, "F": 1, "K": 2}[s.kind], s.i, s.v)
 
 
-class FormalUq:
+class FormalUq(LinComb):
     """A Laurent-coefficient combination of formal generator words.
 
-    nsimple is the number of simple indices; K exponent vectors have that
-    length.  Adjacent K symbols merge and K^0 disappears, which is the only
-    rewriting done at this level.
+    n is the number of simple indices; K exponent vectors have that length.
+    Adjacent K symbols merge and K^0 disappears, which is the only rewriting
+    done at this level.
     """
 
-    __slots__ = ("nsimple", "terms")
+    __slots__ = ()
 
-    def __init__(self, nsimple: int, terms=None):
-        self.nsimple = nsimple
+    def __init__(self, n: int, terms=None):
+        self.n = n
         cleaned: dict[tuple, LaurentPoly] = {}
         for word, coeff in (terms or {}).items():
             word = _canon_word(word)
             for s in word:
                 if s.kind == "K":
-                    if len(s.v) != nsimple:
+                    if len(s.v) != n:
                         raise RankMismatch(
-                            f"K vector length {len(s.v)}, rank {nsimple}")
-                elif not 1 <= s.i <= nsimple:
-                    raise InvalidIndex(f"index {s.i} outside 1..{nsimple}")
+                            f"K vector length {len(s.v)}, rank {n}")
+                elif not 1 <= s.i <= n:
+                    raise InvalidIndex(f"index {s.i} outside 1..{n}")
             if coeff:
-                s0 = cleaned.get(word, LaurentPoly.zero()) + coeff
-                if s0:
-                    cleaned[word] = s0
-                else:
-                    cleaned.pop(word, None)
+                accumulate(cleaned, word, coeff)
         self.terms = cleaned
 
     @staticmethod
-    def zero(nsimple: int) -> "FormalUq":
-        return FormalUq(nsimple)
+    def one(n: int) -> "FormalUq":
+        return FormalUq(n, {(): LaurentPoly.one()})
 
     @staticmethod
-    def one(nsimple: int) -> "FormalUq":
-        return FormalUq(nsimple, {(): LaurentPoly.one()})
-
-    @staticmethod
-    def from_word(nsimple: int, symbols, coeff: LaurentPoly | int = 1) -> "FormalUq":
+    def from_word(n: int, symbols, coeff: LaurentPoly | int = 1) -> "FormalUq":
         if isinstance(coeff, int):
             coeff = LaurentPoly({0: coeff})
-        return FormalUq(nsimple, {tuple(symbols): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return FormalUq(n, {tuple(symbols): coeff})
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def _check(self, other: "FormalUq") -> None:
-        if self.nsimple != other.nsimple:
-            raise RankMismatch(f"rank {self.nsimple} vs {other.nsimple}")
-
-    def __add__(self, other: "FormalUq") -> "FormalUq":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, LaurentPoly.zero()) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return _raw(self.nsimple, out)
-
-    def __neg__(self) -> "FormalUq":
-        return _raw(self.nsimple, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FormalUq") -> "FormalUq":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | int) -> "FormalUq":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        if not c:
-            return FormalUq.zero(self.nsimple)
-        return _raw(self.nsimple, {w: co * c for w, co in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, FormalUq):
@@ -155,95 +116,53 @@ class FormalUq:
         out: dict[tuple, LaurentPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = _canon_word(w1 + w2)
-                s = out.get(w, LaurentPoly.zero()) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return _raw(self.nsimple, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FormalUq) and self.nsimple == other.nsimple
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nsimple, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[tuple, LaurentPoly]]:
-        return sorted(self.terms.items(),
-                      key=lambda t: tuple(_symbol_key(s) for s in t[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "FormalUq(0)"
-        body = " + ".join(f"({c}) {' '.join(map(repr, w)) if w else '1'}"
-                          for w, c in self.sorted_terms())
-        return f"FormalUq({body})"
-
-    def to_json(self) -> dict:
-        def sym(s):
-            if s.kind == "K":
-                return {"k": "K", "v": list(s.v)}
-            return {"k": s.kind, "i": s.i}
-        return {
-            "n": self.nsimple,
-            "terms": [{"word": [sym(s) for s in w], "coeff": c.to_json()}
-                      for w, c in self.sorted_terms()],
-        }
+                accumulate(out, _canon_word(w1 + w2), c1 * c2)
+        return FormalUq._raw(self.n, out)
 
     @staticmethod
-    def from_json(obj: dict) -> "FormalUq":
-        terms = {}
-        for t in obj["terms"]:
-            word = []
-            for s in t["word"]:
-                if s["k"] == "K":
-                    word.append(symK(s["v"]))
-                elif s["k"] == "E":
-                    word.append(symE(s["i"]))
-                elif s["k"] == "F":
-                    word.append(symF(s["i"]))
-                else:
-                    raise InvalidArgs(f"unknown symbol kind {s['k']!r}")
-            terms[tuple(word)] = LaurentPoly.from_json(t["coeff"])
-        return FormalUq(int(obj["n"]), terms)
+    def _sort_key(word) -> tuple:
+        return tuple(_symbol_key(s) for s in word)
 
+    @staticmethod
+    def _key_json(word) -> list:
+        return [{"k": "K", "v": list(s.v)} if s.kind == "K"
+                else {"k": s.kind, "i": s.i} for s in word]
 
-def _raw(nsimple: int, terms: dict) -> FormalUq:
-    f = FormalUq.__new__(FormalUq)
-    f.nsimple = nsimple
-    f.terms = terms
-    return f
+    @staticmethod
+    def _key_from_json(obj) -> tuple:
+        word = []
+        for s in obj:
+            if s["k"] == "K":
+                word.append(symK(s["v"]))
+            elif s["k"] in ("E", "F"):
+                word.append(UqSymbol(s["k"], i=s["i"]))
+            else:
+                raise InvalidArgs(f"unknown symbol kind {s['k']!r}")
+        return tuple(word)
 
 
 # ---------------------------------------------------------------------------
 # braid symmetries
 
-def _eps_vec(n: int, i: int) -> tuple:
-    return tuple(1 if t == i - 1 else 0 for t in range(n))
-
-
 def _t_image(i: int, s: UqSymbol, ns: int) -> FormalUq:
     if s.kind == "K":
         A = cartan_matrix(ns)
         pairing = sum(A[i - 1][j] * s.v[j] for j in range(ns))
-        v = tuple(x - pairing * e for x, e in zip(s.v, _eps_vec(ns, i)))
+        v = list(s.v)
+        v[i - 1] -= pairing
         return FormalUq.from_word(ns, [symK(v)] if any(v) else [])
     j = s.i
     if s.kind == "E":
         if j == i:
-            return FormalUq.from_word(ns, [symF(i), symK([-x for x in _eps_vec(ns, i)])], -1)
+            return FormalUq.from_word(
+                ns, [symF(i), symK(-MultiIndex.unit(ns, i))], -1)
         if abs(i - j) == 1:
             return (FormalUq.from_word(ns, [symE(i), symE(j)])
                     - FormalUq.from_word(ns, [symE(j), symE(i)], q_power(1)))
         return FormalUq.from_word(ns, [s])
     # F
     if j == i:
-        return FormalUq.from_word(ns, [symK(_eps_vec(ns, i)), symE(i)], -1)
+        return FormalUq.from_word(ns, [symK(MultiIndex.unit(ns, i)), symE(i)], -1)
     if abs(i - j) == 1:
         return (FormalUq.from_word(ns, [symF(j), symF(i)])
                 - FormalUq.from_word(ns, [symF(i), symF(j)], q_power(-1)))
@@ -254,7 +173,7 @@ def lusztig_T(i: int, expr: FormalUq) -> FormalUq:
     """The braid symmetry T_i as a word-wise multiplicative substitution:
     E_i -> -F_i K_i^-1, F_i -> -K_i E_i, adjacent indices mix by q-brackets,
     distant generators are fixed, and K^v reflects its exponent vector."""
-    ns = expr.nsimple
+    ns = expr.n
     if not 1 <= i <= ns:
         raise InvalidIndex(f"index {i} outside 1..{ns}")
     out = FormalUq.zero(ns)
@@ -268,8 +187,8 @@ def lusztig_T(i: int, expr: FormalUq) -> FormalUq:
 
 def evaluate(expr: FormalUq, r: Realization) -> Operator:
     """Substitute the realized operators for the abstract symbols."""
-    if expr.nsimple != r.n:
-        raise RankMismatch(f"expression rank {expr.nsimple}, realization rank {r.n}")
+    if expr.n != r.n:
+        raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
     total = Operator.zero(r.n)
     for word, coeff in expr.terms.items():
         op = Operator.identity(r.n)
@@ -290,8 +209,8 @@ def _realized(s: UqSymbol, r: Realization) -> Operator:
 def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
     """Act with a formal expression without materializing the composed
     operator: generators are applied one at a time, right to left."""
-    if expr.nsimple != r.n:
-        raise RankMismatch(f"expression rank {expr.nsimple}, realization rank {r.n}")
+    if expr.n != r.n:
+        raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
     total = Element.zero(elem.n)
     for word, coeff in expr.terms.items():
         cur = elem
@@ -413,11 +332,6 @@ def braid_root_vector(p: int, word, sign: str, nsimple: int) -> FormalUq:
 # ---------------------------------------------------------------------------
 # verifiers
 
-def _record(rep, rel_id, res):
-    rep.add(RelationResult(rel_id, "pass" if res.equal else "fail",
-                           None if res.equal else res.to_counterexample()))
-
-
 def prop32_check(n: int, degree: int) -> VerificationReport:
     """q-bracket factorizations of the corner root vectors: each admissible
     intermediate index j yields the same operator (the choice of j does not
@@ -429,22 +343,23 @@ def prop32_check(n: int, degree: int) -> VerificationReport:
     qinv = q_power(-1)
     den = q - qinv
     for s in range(1, n):
-        _record(rep, f"item1:s={s}", op_eq_up_to_degree(
+        rep.record(f"item1:s={s}", op_eq_up_to_degree(
             q_bracket(root_op(s, s + 1, n), root_op(s + 1, n + 1, n), q),
-            root_op(s, n + 1, n), degree))
+            root_op(s, n + 1, n), degree).to_counterexample())
         for j in range(s + 1, n + 1):
-            _record(rep, f"item2:s={s},j={j}", op_eq_up_to_degree(
+            rep.record(f"item2:s={s},j={j}", op_eq_up_to_degree(
                 q_bracket(root_op(s, j, n), root_op(j, n + 1, n), q),
-                root_op(s, n + 1, n), degree))
+                root_op(s, n + 1, n), degree).to_counterexample())
         for j in range(s + 1, n + 1):
-            _record(rep, f"item3:s={s},j={j}", op_eq_up_to_degree(
+            rep.record(f"item3:s={s},j={j}", op_eq_up_to_degree(
                 q_bracket(root_op(n + 1, j, n), root_op(j, s, n), qinv),
-                root_op(n + 1, s, n), degree))
+                root_op(n + 1, s, n), degree).to_counterexample())
         plus = [1] * n
         plus[s - 1] += 1
         num = diagonal_sigma_op(n, plus) - diagonal_sigma_op(n, [-x for x in plus])
-        _record(rep, f"item4:s={s}", action_equals_quotient(
-            q_bracket(root_op(s, n + 1, n), root_op(n + 1, s, n), 1), num, den, degree))
+        bracket = q_bracket(root_op(s, n + 1, n), root_op(n + 1, s, n), 1)
+        rep.record(f"item4:s={s}", action_equals_quotient(
+            bracket, num, den, degree).to_counterexample())
     return rep
 
 
@@ -464,28 +379,28 @@ def braid_relation_check(n: int, degree: int) -> VerificationReport:
     for k in range(1, n + 1):
         gens.append((f"E{k}", FormalUq.from_word(n, [symE(k)])))
         gens.append((f"F{k}", FormalUq.from_word(n, [symF(k)])))
-        gens.append((f"K{k}", FormalUq.from_word(n, [symK(_eps_vec(n, k))])))
+        gens.append((f"K{k}", FormalUq.from_word(n, [symK(MultiIndex.unit(n, k))])))
     for i in range(1, n):
         j = i + 1
         for name, g in gens:
             lhs = lusztig_T(i, lusztig_T(j, lusztig_T(i, g)))
             rhs = lusztig_T(j, lusztig_T(i, lusztig_T(j, g)))
-            _record(rep, f"braid:i={i},j={j},g={name}",
-                    op_eq_up_to_degree(ev(lhs), ev(rhs), degree))
+            rep.record(f"braid:i={i},j={j},g={name}", op_eq_up_to_degree(
+                ev(lhs), ev(rhs), degree).to_counterexample())
     for i in range(1, n + 1):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n:
                 continue
             moved = lusztig_T(i, lusztig_T(j, FormalUq.from_word(n, [symE(i)])))
-            _record(rep, f"exchange:i={i},j={j}", op_eq_up_to_degree(
-                ev(moved), r.e[j - 1], degree))
+            rep.record(f"exchange:i={i},j={j}", op_eq_up_to_degree(
+                ev(moved), r.e[j - 1], degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if abs(i - j) <= 1:
                 continue
             fixed = lusztig_T(i, FormalUq.from_word(n, [symE(j)]))
-            _record(rep, f"far:i={i},j={j}", op_eq_up_to_degree(
-                ev(fixed), r.e[j - 1], degree))
+            rep.record(f"far:i={i},j={j}", op_eq_up_to_degree(
+                ev(fixed), r.e[j - 1], degree).to_counterexample())
     return rep
 
 
@@ -503,10 +418,12 @@ def lemma34_check(n: int, degree: int) -> VerificationReport:
         te = evaluate(lusztig_T(s, FormalUq.from_word(n, [symE(s)])), r)
         tf = evaluate(lusztig_T(s, FormalUq.from_word(n, [symF(s)])), r)
         for j in range(s + 2, n + 2):
-            _record(rep, f"part1:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(root_op(s, j, n), te, q), root_op(s + 1, j, n), degree))
-            _record(rep, f"part2:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(tf, root_op(j, s, n), qinv), root_op(j, s + 1, n), degree))
+            rep.record(f"part1:s={s},j={j}", op_eq_up_to_degree(
+                q_bracket(root_op(s, j, n), te, q), root_op(s + 1, j, n),
+                degree).to_counterexample())
+            rep.record(f"part2:s={s},j={j}", op_eq_up_to_degree(
+                q_bracket(tf, root_op(j, s, n), qinv), root_op(j, s + 1, n),
+                degree).to_counterexample())
     return rep
 
 
@@ -554,13 +471,10 @@ def theorem33_check(n: int, degree: int, word=None,
             target = root_op(ops[0], ops[1], n)
             res = sweep_actions(lambda m: apply_formal(expr, r, m),
                                 lambda m: apply(target, m), n, degree)
-            rel_id = f"{'pos' if sign == '+' else 'neg'}:i={a},j={b}"
-            if res.equal:
-                rep.add(RelationResult(rel_id, "pass"))
-            else:
-                ce = res.to_counterexample()
-                ratio = _proportionality(res.lhs, res.rhs) if res.rhs else None
+            ce = res.to_counterexample()
+            if ce is not None and res.rhs is not None:
+                ratio = _proportionality(res.lhs, res.rhs)
                 if ratio is not None:
                     ce["ratio"] = ratio
-                rep.add(RelationResult(rel_id, "fail", ce))
+            rep.record(f"{'pos' if sign == '+' else 'neg'}:i={a},j={b}", ce)
     return rep

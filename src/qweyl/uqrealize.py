@@ -13,9 +13,10 @@ from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
-from .report import RelationResult, VerificationReport
-from .weylops import (D, OpEqResult, Operator, S, T, X, action_equals_quotient,
-                      apply, compose, op_eq_up_to_degree, q_bracket)
+from .report import VerificationReport
+from .weylops import (D, Operator, S, T, X, _first_failure,
+                      action_equals_quotient, apply, compose,
+                      op_eq_up_to_degree, q_bracket)
 
 
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -53,13 +54,10 @@ def corner_raising_op(n: int, s: int) -> Operator:
     """(prod_{k != s} sigma_k^-1) x_s (sum_i x_i d_i Theta(eps_i))."""
     if not 1 <= s <= n:
         raise InvalidArgs(f"index {s} outside 1..{n}")
-    prefix = [S(k, -1) for k in range(1, n + 1) if k != s]
-    terms = {}
-    for i in range(1, n + 1):
-        eps = tuple(1 if t == i - 1 else 0 for t in range(n))
-        word = tuple(prefix) + (X(s), X(i), D(i), T(eps))
-        terms[word] = LaurentPoly.one()
-    return Operator(n, terms)
+    prefix = tuple(S(k, -1) for k in range(1, n + 1) if k != s)
+    words = [prefix + (X(s), X(i), D(i), T(MultiIndex.unit(n, i)))
+             for i in range(1, n + 1)]
+    return Operator(n, dict.fromkeys(words, LaurentPoly.one()))
 
 
 def corner_lowering_op(n: int, s: int) -> Operator:
@@ -167,18 +165,6 @@ def closed_form_action(kind: str, i: int, beta: MultiIndex) -> Element:
 # ---------------------------------------------------------------------------
 # verifiers
 
-def _record(rep: VerificationReport, rel_id: str, res: OpEqResult) -> None:
-    rep.add(RelationResult(rel_id, "pass" if res.equal else "fail",
-                           None if res.equal else res.to_counterexample()))
-
-
-def _first_failure(*results: OpEqResult) -> OpEqResult:
-    for r in results:
-        if not r.equal:
-            return r
-    return results[0]
-
-
 def verify_serre(n: int, degree: int, realization: Realization | None = None
                  ) -> VerificationReport:
     """Check the full simple-root presentation (R1)-(R7) as exact action
@@ -196,22 +182,25 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
 
     for i in range(1, n + 1):
         Ki, Kinv = r.K[i - 1], r.K_inv[i - 1]
-        _record(rep, f"R1:i={i}", _first_failure(
+        rep.record(f"R1:i={i}", _first_failure(
             op_eq_up_to_degree(compose(Ki, Kinv), Operator.identity(n), degree),
-            op_eq_up_to_degree(compose(Kinv, Ki), Operator.identity(n), degree)))
+            op_eq_up_to_degree(compose(Kinv, Ki), Operator.identity(n), degree),
+        ).to_counterexample())
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            _record(rep, f"R1:i={i},j={j}", op_eq_up_to_degree(
-                compose(r.K[i - 1], r.K[j - 1]), compose(r.K[j - 1], r.K[i - 1]), degree))
+            rep.record(f"R1:i={i},j={j}", op_eq_up_to_degree(
+                compose(r.K[i - 1], r.K[j - 1]), compose(r.K[j - 1], r.K[i - 1]),
+                degree).to_counterexample())
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             a = A[i - 1][j - 1]
             conj_e = compose(r.K[i - 1], compose(r.e[j - 1], r.K_inv[i - 1]))
             conj_f = compose(r.K[i - 1], compose(r.f[j - 1], r.K_inv[i - 1]))
-            _record(rep, f"R2:i={i},j={j}", _first_failure(
+            rep.record(f"R2:i={i},j={j}", _first_failure(
                 op_eq_up_to_degree(conj_e, r.e[j - 1].scale(q_power(a)), degree),
-                op_eq_up_to_degree(conj_f, r.f[j - 1].scale(q_power(-a)), degree)))
+                op_eq_up_to_degree(conj_f, r.f[j - 1].scale(q_power(-a)), degree),
+            ).to_counterexample())
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -221,7 +210,7 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
                     com, r.K[i - 1] - r.K_inv[i - 1], den, degree)
             else:
                 res = op_eq_up_to_degree(com, Operator.zero(n), degree)
-            _record(rep, f"R3:i={i},j={j}", res)
+            rep.record(f"R3:i={i},j={j}", res.to_counterexample())
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -231,12 +220,13 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
             lhs = (compose(ei, compose(ei, ej))
                    - compose(ei, compose(ej, ei)).scale(two)
                    + compose(ej, compose(ei, ei)))
-            _record(rep, f"R4:i={i},j={j}",
-                    op_eq_up_to_degree(lhs, Operator.zero(n), degree))
+            rep.record(f"R4:i={i},j={j}", op_eq_up_to_degree(
+                lhs, Operator.zero(n), degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
-            _record(rep, f"R5:i={i},j={j}", op_eq_up_to_degree(
-                compose(r.e[i - 1], r.e[j - 1]), compose(r.e[j - 1], r.e[i - 1]), degree))
+            rep.record(f"R5:i={i},j={j}", op_eq_up_to_degree(
+                compose(r.e[i - 1], r.e[j - 1]), compose(r.e[j - 1], r.e[i - 1]),
+                degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if abs(i - j) != 1:
@@ -245,12 +235,13 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
             lhs = (compose(fi, compose(fi, fj))
                    - compose(fi, compose(fj, fi)).scale(two)
                    + compose(fj, compose(fi, fi)))
-            _record(rep, f"R6:i={i},j={j}",
-                    op_eq_up_to_degree(lhs, Operator.zero(n), degree))
+            rep.record(f"R6:i={i},j={j}", op_eq_up_to_degree(
+                lhs, Operator.zero(n), degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
-            _record(rep, f"R7:i={i},j={j}", op_eq_up_to_degree(
-                compose(r.f[i - 1], r.f[j - 1]), compose(r.f[j - 1], r.f[i - 1]), degree))
+            rep.record(f"R7:i={i},j={j}", op_eq_up_to_degree(
+                compose(r.f[i - 1], r.f[j - 1]), compose(r.f[j - 1], r.f[i - 1]),
+                degree).to_counterexample())
     return rep
 
 
@@ -269,25 +260,27 @@ def verify_gl(n: int, degree: int) -> VerificationReport:
         return Operator.from_word(n, [S(i, e)])
 
     for i in range(1, n + 1):
-        _record(rep, f"k-inv:i={i}", op_eq_up_to_degree(
-            compose(k(i), k(i, -1)), Operator.identity(n), degree))
+        rep.record(f"k-inv:i={i}", op_eq_up_to_degree(
+            compose(k(i), k(i, -1)), Operator.identity(n),
+            degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            _record(rep, f"k-comm:i={i},j={j}", op_eq_up_to_degree(
-                compose(k(i), k(j)), compose(k(j), k(i)), degree))
+            rep.record(f"k-comm:i={i},j={j}", op_eq_up_to_degree(
+                compose(k(i), k(j)), compose(k(j), k(i)),
+                degree).to_counterexample())
     for i in range(1, n):
-        _record(rep, f"K-factor:i={i}", op_eq_up_to_degree(
-            r.K[i - 1], compose(k(i), k(i + 1, -1)), degree))
+        rep.record(f"K-factor:i={i}", op_eq_up_to_degree(
+            r.K[i - 1], compose(k(i), k(i + 1, -1)), degree).to_counterexample())
     for i in range(1, n + 1):
         for j in range(1, n):
             # <eps_i, alpha_j> = delta_{ij} - delta_{i,j+1}
             w = (1 if i == j else 0) - (1 if i == j + 1 else 0)
             conj_e = compose(k(i), compose(r.e[j - 1], k(i, -1)))
             conj_f = compose(k(i), compose(r.f[j - 1], k(i, -1)))
-            _record(rep, f"k-e:i={i},j={j}", op_eq_up_to_degree(
-                conj_e, r.e[j - 1].scale(q_power(w)), degree))
-            _record(rep, f"k-f:i={i},j={j}", op_eq_up_to_degree(
-                conj_f, r.f[j - 1].scale(q_power(-w)), degree))
+            rep.record(f"k-e:i={i},j={j}", op_eq_up_to_degree(
+                conj_e, r.e[j - 1].scale(q_power(w)), degree).to_counterexample())
+            rep.record(f"k-f:i={i},j={j}", op_eq_up_to_degree(
+                conj_f, r.f[j - 1].scale(q_power(-w)), degree).to_counterexample())
     return rep
 
 
@@ -313,8 +306,7 @@ def lemma21_check(n: int, max_degree: int = 5, max_shift: int = 3
                     fail = {"beta": beta.to_json(), "i": i, "m": m,
                             "lhs": lhs.to_json(), "rhs": rhs.to_json()}
                     break
-            rep.add(RelationResult(f"shift:i={i},m={m}",
-                                   "pass" if fail is None else "fail", fail))
+            rep.record(f"shift:i={i},m={m}", fail)
     return rep
 
 
@@ -375,5 +367,5 @@ def classical_degeneration_check(n: int, degree: int,
                         "rhs": {str(list(b.entries)): v for b, v in sorted(
                             classical.items(), key=lambda t: t[0].entries)}}
                 break
-        rep.add(RelationResult(rel_id, "pass" if fail is None else "fail", fail))
+        rep.record(rel_id, fail)
     return rep

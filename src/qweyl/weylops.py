@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, NotDivisible, RankMismatch
 from .qindex import MultiIndex, theta_exponent
-from .qring import LaurentPoly, exact_div, q_int, q_power
-from .report import RelationResult, VerificationReport
+from .qring import LaurentPoly, LinComb, accumulate, exact_div, q_int, q_power
+from .report import VerificationReport
 
 _CLASS = {"X": 0, "D": 1, "S": 2, "T": 3}
 
@@ -89,14 +89,14 @@ def degree_shift(word) -> int:
     return sum(g.degree_shift() for g in word)
 
 
-class Operator:
+class Operator(LinComb):
     """A finite Laurent-coefficient combination of operator words.
 
     terms maps a word (tuple of GenSymbol, written left-to-right) to a
     nonzero coefficient; the empty word is the identity.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -110,10 +110,6 @@ class Operator:
         self.terms = cleaned
 
     @staticmethod
-    def zero(n: int) -> "Operator":
-        return Operator(n)
-
-    @staticmethod
     def identity(n: int) -> "Operator":
         return Operator(n, {(): LaurentPoly.one()})
 
@@ -123,84 +119,20 @@ class Operator:
             coeff = LaurentPoly({0: coeff})
         return Operator(n, {tuple(symbols): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "Operator") -> None:
-        if self.n != other.n:
-            raise RankMismatch(f"rank {self.n} vs {other.n}")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, LaurentPoly.zero()) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return _raw(self.n, out)
-
-    def __neg__(self) -> "Operator":
-        return _raw(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | int) -> "Operator":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        if not c:
-            return Operator.zero(self.n)
-        return _raw(self.n, {w: co * c for w, co in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, Operator):
             return compose(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Operator) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[tuple, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda t: _word_key(t[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Operator(0)"
-        body = " + ".join(
-            f"({c}) {' '.join(map(repr, w)) if w else '1'}"
-            for w, c in self.sorted_terms())
-        return f"Operator({body})"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"word": [_symbol_json(g) for g in w], "coeff": c.to_json()}
-                      for w, c in self.sorted_terms()],
-        }
+    _sort_key = staticmethod(_word_key)
 
     @staticmethod
-    def from_json(obj: dict) -> "Operator":
-        terms = {}
-        for t in obj["terms"]:
-            word = tuple(_symbol_from_json(s) for s in t["word"])
-            terms[word] = LaurentPoly.from_json(t["coeff"])
-        return Operator(int(obj["n"]), terms)
+    def _key_json(word) -> list:
+        return [_symbol_json(g) for g in word]
 
-
-def _raw(n: int, terms: dict) -> Operator:
-    op = Operator.__new__(Operator)
-    op.n = n
-    op.terms = terms
-    return op
+    @staticmethod
+    def _key_from_json(obj) -> tuple:
+        return tuple(_symbol_from_json(s) for s in obj)
 
 
 def _symbol_json(g: GenSymbol) -> dict:
@@ -238,35 +170,27 @@ def apply_generator(g: GenSymbol, elem: Element) -> Element:
     n = elem.n
     _check_symbol(g, n)
     out: dict[MultiIndex, LaurentPoly] = {}
-
-    def put(beta, coeff):
-        s = out.get(beta, LaurentPoly.zero()) + coeff
-        if s:
-            out[beta] = s
-        else:
-            out.pop(beta, None)
-
     if g.kind == "D":
         i = g.i
         for beta, c in elem.terms.items():
             if beta.entries[i - 1] == 0:
                 continue
             shift = -sum(beta.entries[: i - 1])
-            put(beta.bump(i, -1), c.shift(shift))
+            accumulate(out, beta.bump(i, -1), c.shift(shift))
     elif g.kind == "X":
         i = g.i
         for beta, c in elem.terms.items():
             shift = sum(beta.entries[: i - 1])
             coeff = c.shift(shift) * q_int(beta.entries[i - 1] + 1)
-            put(beta.bump(i, 1), coeff)
+            accumulate(out, beta.bump(i, 1), coeff)
     elif g.kind == "S":
         i, e = g.i, g.e
         for beta, c in elem.terms.items():
-            put(beta, c.shift(e * beta.entries[i - 1]))
+            accumulate(out, beta, c.shift(e * beta.entries[i - 1]))
     else:  # T
         mu = MultiIndex(g.mu)
         for beta, c in elem.terms.items():
-            put(beta, c.shift(theta_exponent(mu, beta)))
+            accumulate(out, beta, c.shift(theta_exponent(mu, beta)))
     return Element(n, out)
 
 
@@ -291,21 +215,8 @@ def compose(a: Operator, b: Operator) -> Operator:
     out: dict[tuple, LaurentPoly] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            w = w1 + w2
-            s = out.get(w, LaurentPoly.zero()) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return _raw(a.n, out)
-
-
-def add(a: Operator, b: Operator) -> Operator:
-    return a + b
-
-
-def scale(a: Operator, c) -> Operator:
-    return a.scale(c)
+            accumulate(out, w1 + w2, c1 * c2)
+    return Operator._raw(a.n, out)
 
 
 def q_bracket(a: Operator, b: Operator, c: LaurentPoly | int) -> Operator:
@@ -394,15 +305,11 @@ def normalize(op: Operator) -> Operator:
             continue
         k = _first_violation(word)
         if k is None:
-            s = out.get(word, LaurentPoly.zero()) + coeff
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
+            accumulate(out, word, coeff)
             continue
         for c2, repl in _rewrite_pair(word[k], word[k + 1], op.n):
             stack.append((word[:k] + repl + word[k + 2:], coeff * c2))
-    return _raw(op.n, out)
+    return Operator._raw(op.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +329,10 @@ class OpEqResult:
     def __bool__(self) -> bool:
         return self.equal
 
-    def to_counterexample(self) -> dict:
+    def to_counterexample(self) -> dict | None:
+        """The report's counterexample record; None when the sides agree."""
+        if self.equal:
+            return None
         out = {
             "beta": self.beta.to_json() if self.beta is not None else None,
             "lhs": self.lhs.to_json() if self.lhs is not None else None,
@@ -431,6 +341,14 @@ class OpEqResult:
         if self.note:
             out["note"] = self.note
         return out
+
+
+def _first_failure(*results: OpEqResult) -> OpEqResult:
+    """Combine sub-checks of one relation: the first failure, else a pass."""
+    for r in results:
+        if not r.equal:
+            return r
+    return results[0]
 
 
 def sweep_actions(lhs_fn, rhs_fn, n: int, degree: int) -> OpEqResult:
@@ -472,10 +390,6 @@ def action_equals_quotient(lhs: Operator, num: Operator, den: LaurentPoly,
 # ---------------------------------------------------------------------------
 # defining-relation verifier
 
-def _eps(n: int, i: int, sign: int = 1) -> tuple:
-    return tuple(sign if t == i - 1 else 0 for t in range(n))
-
-
 def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
     """Check every defining relation of the operator algebra as an action
     identity up to the degree bound.
@@ -497,27 +411,24 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
 
     ident = Operator.identity(n)
 
-    def ck(rel_id, lhs, rhs):
-        res = op_eq_up_to_degree(normalize(lhs), normalize(rhs), degree)
-        rep.add(RelationResult(rel_id, "pass" if res.equal else "fail",
-                               None if res.equal else res.to_counterexample()))
+    def ck(rel_id, lhs, rhs, divided=False):
+        # divided: compare lhs with rhs / (q - q^-1), dividing exactly
+        lhs, rhs = normalize(lhs), normalize(rhs)
+        res = (action_equals_quotient(lhs, rhs, den, degree) if divided
+               else op_eq_up_to_degree(lhs, rhs, degree))
+        rep.record(rel_id, res.to_counterexample())
 
-    def ck_div(rel_id, lhs, num):
-        res = action_equals_quotient(normalize(lhs), normalize(num), den, degree)
-        rep.add(RelationResult(rel_id, "pass" if res.equal else "fail",
-                               None if res.equal else res.to_counterexample()))
-
+    eps = {i: MultiIndex.unit(n, i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
         ck(f"sigma-inv:i={i}", word([S(i, 1), S(i, -1)]), ident)
-        ck(f"theta-inv:i={i}", word([T(_eps(n, i)), T(_eps(n, i, -1))]), ident)
+        ck(f"theta-inv:i={i}", word([T(eps[i]), T(-eps[i])]), ident)
     for i in range(1, n):
-        mu = tuple(-a + b for a, b in zip(_eps(n, i), _eps(n, i + 1)))
-        ck(f"theta-as-sigma:i={i}", word([T(mu)]), word([S(i, 1), S(i + 1, 1)]))
+        ck(f"theta-as-sigma:i={i}", word([T(eps[i + 1] - eps[i])]),
+           word([S(i, 1), S(i + 1, 1)]))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            mu = tuple(a + b for a, b in zip(_eps(n, i), _eps(n, j)))
             ck(f"theta-merge:i={i},j={j}",
-               word([T(_eps(n, i)), T(_eps(n, j))]), word([T(mu)]))
+               word([T(eps[i]), T(eps[j])]), word([T(eps[i] + eps[j])]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ck(f"sigma-comm:i={i},j={j}",
@@ -525,15 +436,15 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             ck(f"sigma-theta-comm:i={i},j={j}",
-               word([S(i, 1), T(_eps(n, j))]), word([T(_eps(n, j)), S(i, 1)]))
+               word([S(i, 1), T(eps[j])]), word([T(eps[j]), S(i, 1)]))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            ti = theta_exponent(MultiIndex(_eps(n, i)), MultiIndex(_eps(n, j)))
+            ti = theta_exponent(eps[i], eps[j])
             ck(f"theta-x:i={i},j={j}",
-               word([T(_eps(n, i)), X(j), T(_eps(n, i, -1))]),
+               word([T(eps[i]), X(j), T(-eps[i])]),
                word([X(j)], coeff=q_power(ti)))
             ck(f"theta-d:i={i},j={j}",
-               word([T(_eps(n, i)), D(j), T(_eps(n, i, -1))]),
+               word([T(eps[i]), D(j), T(-eps[i])]),
                word([D(j)], coeff=q_power(-ti)))
             delta = 1 if i == j else 0
             ck(f"sigma-x:i={i},j={j}",
@@ -542,7 +453,7 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
                word([S(i, 1), D(j), S(i, -1)]), word([D(j)], coeff=q_power(-delta)))
     for i in range(1, n + 1):
         for j in range(1, i):
-            ti = theta_exponent(MultiIndex(_eps(n, i)), MultiIndex(_eps(n, j)))
+            ti = theta_exponent(eps[i], eps[j])
             ck(f"x-x:i={i},j={j}",
                word([X(i), X(j)]), word([X(j), X(i)], coeff=q_power(ti)))
             ck(f"d-d:i={i},j={j}",
@@ -551,7 +462,7 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
         for j in range(1, n + 1):
             if i == j:
                 continue
-            tj = theta_exponent(MultiIndex(_eps(n, j)), MultiIndex(_eps(n, i)))
+            tj = theta_exponent(eps[j], eps[i])
             ck(f"d-x:i={i},j={j}",
                word([D(i), X(j)]), word([X(j), D(i)], coeff=q_power(tj)))
     for i in range(1, n + 1):
@@ -559,8 +470,8 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
         xd = word([X(i), D(i)])
         ck(f"d-x-plus:i={i}", dx - xd.scale(q), word([S(i, -1)]))
         ck(f"d-x-minus:i={i}", dx - xd.scale(qinv), word([S(i, 1)]))
-        # closed forms with the exact division by q - q^-1
-        ck_div(f"dx-closed:i={i}", dx,
-               word([S(i, 1)], coeff=q) - word([S(i, -1)], coeff=qinv))
-        ck_div(f"xd-closed:i={i}", xd, word([S(i, 1)]) - word([S(i, -1)]))
+        ck(f"dx-closed:i={i}", dx,
+           word([S(i, 1)], coeff=q) - word([S(i, -1)], coeff=qinv), divided=True)
+        ck(f"xd-closed:i={i}", xd, word([S(i, 1)]) - word([S(i, -1)]),
+           divided=True)
     return rep

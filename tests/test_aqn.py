@@ -89,3 +89,6 @@ def test_json_roundtrip():
     assert obj["n"] == 2
     assert obj["terms"][0]["beta"] == [0, 2]  # lex-sorted
     assert Element.from_json(obj) == a
+    for e in (a, -a, Element.zero(2), Element.unit(3)):
+        back = Element.from_json(e.to_json())
+        assert back == e and hash(back) == hash(e)

@@ -138,7 +138,20 @@ def test_bar_is_ring_automorphism(a, b):
 
 @given(laurents)
 def test_json_roundtrip(p):
-    assert LaurentPoly.from_json(p.to_json()) == p
+    back = LaurentPoly.from_json(p.to_json())
+    assert back == p
+    assert hash(back) == hash(p)
+
+
+def test_constants_hash_like_ints():
+    for c in (3, -1, 0):
+        p = LaurentPoly({0: c})
+        assert p == c
+        assert hash(p) == hash(c)
+        assert c in {p}
+        assert p in {c}
+    assert LaurentPoly.zero() in {0}
+    assert {LaurentPoly({0: 3}): "x"}[3] == "x"
 
 
 def test_json_shape():

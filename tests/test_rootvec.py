@@ -103,7 +103,9 @@ def test_formal_uq_canonical_form():
 
 def test_formal_json_roundtrip():
     expr = lusztig_T(1, E_(2, 2)) + FormalUq.from_word(2, [symK((1, -1))], q_int(2))
-    assert FormalUq.from_json(expr.to_json()) == expr
+    for e in (expr, -expr, FormalUq.zero(2), FormalUq.one(3)):
+        back = FormalUq.from_json(e.to_json())
+        assert back == e and hash(back) == hash(e)
 
 
 def test_evaluate():

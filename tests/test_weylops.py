@@ -193,5 +193,8 @@ def test_operator_json_roundtrip():
     obj = op.to_json()
     assert obj["n"] == 2
     assert Operator.from_json(obj) == op
+    for o in (op, op.scale(q_power(-1)), Operator.zero(2), Operator.identity(1)):
+        back = Operator.from_json(o.to_json())
+        assert back == o and hash(back) == hash(o)
     word = obj["terms"][0]["word"]
     assert word[0] == {"k": "X", "i": 1}
