@@ -4,8 +4,6 @@ twisted multiplication x^(a) x^(b) = q^(a*b) [a+b over a] x^(a+b).
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import InvalidArgs, RankMismatch
 from .qindex import MultiIndex, star
 from .qring import LaurentPoly, LinComb, q_binom, q_power
@@ -89,7 +87,10 @@ def monomials_up_to(n: int, max_degree: int) -> list[MultiIndex]:
     """All beta in Z_+^n with |beta| <= max_degree, in lexicographic order."""
     if max_degree < 0:
         raise InvalidArgs("degree bound must be >= 0")
-    out = [MultiIndex(t) for t in product(range(max_degree + 1), repeat=n)
-           if sum(t) <= max_degree]
-    out.sort(key=lambda m: m.entries)
-    return out
+    # Extending each prefix by every entry that fits keeps the list in
+    # lexicographic order at every step, so nothing is filtered or sorted.
+    tuples = [()]
+    for _ in range(n):
+        tuples = [t + (v,) for t in tuples
+                  for v in range(max_degree + 1 - sum(t))]
+    return [MultiIndex(t) for t in tuples]

@@ -218,7 +218,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="also write the report to this file")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (sweeps are evaluated deterministically)")
+                       help="accepted for CI compatibility; sweeps run in one "
+                            "thread")
 
     p = sub.add_parser("verify", help="run a relation suite")
     p.add_argument("suite", choices=(*SUITES, "all"))

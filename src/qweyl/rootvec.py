@@ -208,14 +208,19 @@ def _realized(s: UqSymbol, r: Realization) -> Operator:
 
 def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
     """Act with a formal expression without materializing the composed
-    operator: generators are applied one at a time, right to left."""
+    operator: generators are applied one at a time, right to left.  Each
+    distinct symbol is realized once per call."""
     if expr.n != r.n:
         raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
+    ops: dict[UqSymbol, Operator] = {}
     total = Element.zero(elem.n)
     for word, coeff in expr.terms.items():
         cur = elem
         for s in reversed(word):
-            cur = apply(_realized(s, r), cur)
+            op = ops.get(s)
+            if op is None:
+                op = ops[s] = _realized(s, r)
+            cur = apply(op, cur)
             if cur.is_zero():
                 break
         total = total + cur.scale(coeff)

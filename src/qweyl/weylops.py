@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, NotDivisible, RankMismatch
-from .qindex import MultiIndex, theta_exponent
+from .qindex import MultiIndex, _theta_entries, theta_exponent
 from .qring import LaurentPoly, LinComb, accumulate, exact_div, q_int, q_power
 from .report import VerificationReport
 
@@ -160,53 +160,75 @@ def _symbol_from_json(obj: dict) -> GenSymbol:
 # actions
 
 
-def apply_generator(g: GenSymbol, elem: Element) -> Element:
-    """Act with a single generator on an element.
+def _letter(g: GenSymbol, b: tuple):
+    """The one home of the letter formulas: x^(b) -> q^shift [m] x^(b').
 
-    d_i sends x^(beta) to q^(-sum_{s<i} beta_s) x^(beta - eps_i) and kills
-    monomials with beta_i = 0; x_i multiplies by x^(eps_i); sigma_i^e and
-    Theta(mu) are diagonal with eigenvalues q^(e beta_i) and theta(mu, beta).
+    Returns (b', shift, m), or None when the letter kills x^(b).  d_i sends
+    x^(b) to q^(-sum_{s<i} b_s) x^(b - eps_i) and kills b_i = 0; x_i sends it
+    to q^(sum_{s<i} b_s) [b_i + 1] x^(b + eps_i); sigma_i^e and Theta(mu) are
+    diagonal with eigenvalues q^(e b_i) and theta(mu, b).  m is 1 for every
+    letter but x_i.  b is a plain tuple of nonnegative ints.
     """
+    kind = g.kind
+    if kind == "S":
+        return b, g.e * b[g.i - 1], 1
+    if kind == "T":
+        return b, _theta_entries(g.mu, b), 1
+    i = g.i - 1
+    bi = b[i]
+    if kind == "X":
+        return b[:i] + (bi + 1,) + b[i + 1:], sum(b[:i]), bi + 1
+    if bi == 0:
+        return None
+    return b[:i] + (bi - 1,) + b[i + 1:], -sum(b[:i]), 1
+
+
+def apply_generator(g: GenSymbol, elem: Element) -> Element:
+    """Act with a single generator on an element (see _letter)."""
     n = elem.n
     _check_symbol(g, n)
     out: dict[MultiIndex, LaurentPoly] = {}
-    if g.kind == "D":
-        i = g.i
-        for beta, c in elem.terms.items():
-            if beta.entries[i - 1] == 0:
-                continue
-            shift = -sum(beta.entries[: i - 1])
-            accumulate(out, beta.bump(i, -1), c.shift(shift))
-    elif g.kind == "X":
-        i = g.i
-        for beta, c in elem.terms.items():
-            shift = sum(beta.entries[: i - 1])
-            coeff = c.shift(shift) * q_int(beta.entries[i - 1] + 1)
-            accumulate(out, beta.bump(i, 1), coeff)
-    elif g.kind == "S":
-        i, e = g.i, g.e
-        for beta, c in elem.terms.items():
-            accumulate(out, beta, c.shift(e * beta.entries[i - 1]))
-    else:  # T
-        mu = MultiIndex(g.mu)
-        for beta, c in elem.terms.items():
-            accumulate(out, beta, c.shift(theta_exponent(mu, beta)))
-    return Element(n, out)
+    for beta, c in elem.terms.items():
+        hit = _letter(g, beta.entries)
+        if hit is None:
+            continue
+        b, shift, m = hit
+        c = c.shift(shift)
+        if m != 1:
+            c = c * q_int(m)
+        accumulate(out, MultiIndex(b), c)
+    return Element._raw(n, out)
 
 
 def apply(op: Operator, elem: Element) -> Element:
-    """Act with an operator: linear over terms, words applied right-to-left."""
+    """Act with an operator: linear over terms, words applied right-to-left.
+
+    Each word is folded through _letter on the exponent tuple of each term,
+    so no intermediate Element is built: the shifts are summed as ints and
+    the q-integers are multiplied into the coefficient once, at the end.
+    """
     if op.n != elem.n:
         raise RankMismatch(f"operator rank {op.n}, element rank {elem.n}")
-    total = Element.zero(elem.n)
-    for word, coeff in op.terms.items():
-        cur = elem
-        for g in reversed(word):
-            cur = apply_generator(g, cur)
-            if cur.is_zero():
-                break
-        total = total + cur.scale(coeff)
-    return total
+    out: dict[tuple, LaurentPoly] = {}
+    for beta, c in elem.terms.items():
+        for word, coeff in op.terms.items():
+            b = beta.entries
+            total = 0
+            ms = []
+            for g in reversed(word):
+                hit = _letter(g, b)
+                if hit is None:
+                    break
+                b, shift, m = hit
+                total += shift
+                if m != 1:
+                    ms.append(m)
+            else:
+                factor = coeff.shift(total)
+                for m in ms:
+                    factor = factor * q_int(m)
+                accumulate(out, b, c * factor)
+    return Element._raw(elem.n, {MultiIndex(b): c for b, c in out.items()})
 
 
 def compose(a: Operator, b: Operator) -> Operator:
@@ -353,8 +375,9 @@ def _first_failure(*results: OpEqResult) -> OpEqResult:
 
 def sweep_actions(lhs_fn, rhs_fn, n: int, degree: int) -> OpEqResult:
     """Compare two monomial-action callables on all |beta| <= degree."""
+    one = LaurentPoly.one()
     for beta in monomials_up_to(n, degree):
-        mono = Element.monomial(beta)
+        mono = Element._raw(n, {beta: one})
         lhs = lhs_fn(mono)
         rhs = rhs_fn(mono)
         if rhs is None:

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -39,6 +40,15 @@ def test_monomials_up_to():
     assert out == sorted(out, key=lambda b: b.entries)
     with pytest.raises(InvalidArgs):
         monomials_up_to(2, -1)
+
+
+def test_monomials_up_to_matches_filtered_product():
+    for n in range(6):
+        for d in range(6):
+            reference = sorted(t for t in product(range(d + 1), repeat=n)
+                               if sum(t) <= d)
+            assert [b.entries for b in monomials_up_to(n, d)] == reference
+    assert len(monomials_up_to(8, 6)) == math.comb(14, 8) == 3003
 
 
 def test_rank_and_negativity_checks():

@@ -134,19 +134,15 @@ def test_threads_flags(capsys, monkeypatch):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     # corrupt the derivative action; the suite must fail with exit 1
-    orig = weylops.apply_generator
+    orig = weylops._letter
 
-    def corrupt(g, elem):
-        if g.kind != "D":
-            return orig(g, elem)
-        out = {}
-        for beta, c in elem.terms.items():
-            if beta.entries[g.i - 1] == 0:
-                continue
-            out[beta.bump(g.i, -1)] = c  # missing twist
-        return Element(elem.n, out)
+    def corrupt(g, b):
+        hit = orig(g, b)
+        if g.kind != "D" or hit is None:
+            return hit
+        return hit[0], 0, hit[2]  # missing twist
 
-    monkeypatch.setattr(weylops, "apply_generator", corrupt)
+    monkeypatch.setattr(weylops, "_letter", corrupt)
     code, out, _ = run(capsys, ["verify", "weyl", "--n", "2", "--degree", "3"])
     assert code == 1
     assert "FAIL" in out

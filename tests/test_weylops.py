@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qweyl import weylops
 from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_int, q_power
+from qweyl.uqrealize import verify_serre
 from qweyl.weylops import (D, Operator, S, T, X, action_equals_quotient,
                            apply, apply_generator, compose, degree_shift,
                            normalize, op_eq_up_to_degree, q_bracket,
@@ -198,3 +202,57 @@ def test_operator_json_roundtrip():
         assert back == o and hash(back) == hash(o)
     word = obj["terms"][0]["word"]
     assert word[0] == {"k": "X", "i": 1}
+
+
+@st.composite
+def words_and_elements(draw):
+    """A rank, an operator of 1-3 words of up to 6 letters with Laurent
+    coefficients, and a multi-term element with Laurent coefficients."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(1, n)
+    letter = st.one_of(
+        index.map(X), index.map(D),
+        st.builds(S, index, st.sampled_from((1, -1, 2, -2))),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(T))
+    coeff = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3),
+                            min_size=1, max_size=3).map(LaurentPoly)
+    words = draw(st.lists(st.tuples(st.lists(letter, max_size=6), coeff),
+                          min_size=1, max_size=3))
+    betas = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(MultiIndex)
+    terms = draw(st.dictionaries(betas, coeff, min_size=1, max_size=4))
+    return n, words, Element(n, terms)
+
+
+def _fold(word, elem):
+    # Reference: one whole Element per letter, rightmost letter first.
+    for g in reversed(word):
+        elem = apply_generator(g, elem)
+    return elem
+
+
+@given(words_and_elements())
+def test_apply_matches_letter_by_letter_fold(case):
+    n, words, elem = case
+    op = Operator.zero(n)
+    expected = Element.zero(n)
+    for word, coeff in words:
+        assert apply(Operator.from_word(n, word), elem) == _fold(word, elem)
+        op = op + Operator.from_word(n, word, coeff)
+        expected = expected + _fold(word, elem).scale(coeff)
+    assert apply(op, elem) == expected
+
+
+def test_x_letter_q_integer_fault_is_caught(monkeypatch):
+    # x_i's q-integer is multiplied in once per word, after the fold; a
+    # wrong argument for it must still show in the Serre relations.
+    assert verify_serre(2, 4).failed == 0
+    orig = weylops._letter
+
+    def bad_letter(g, b):
+        hit = orig(g, b)
+        if g.kind != "X":
+            return hit
+        return hit[0], hit[1], b[g.i - 1]
+
+    monkeypatch.setattr(weylops, "_letter", bad_letter)
+    assert verify_serre(2, 4).failed > 0
