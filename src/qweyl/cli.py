@@ -18,7 +18,7 @@ from .errors import QweylError
 from .exprparse import (format_element, format_formal, format_operator,
                         parse_element, parse_operator)
 from .report import RelationResult, VerificationReport
-from .rootvec import (apply_formal, braid_relation_check, braid_root_vector,
+from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
                       default_braid_word, lemma34_check,
                       positive_roots_in_convex_order, prop32_check,
                       root_op, theorem33_check)
@@ -168,8 +168,8 @@ def _cmd_rootvec(args) -> int:
     op = root_op(i, j, n)
     nf = normalize(op)
     expr = braid_root_vector(p, word, sign, n)
-    r = build_realization(n)
-    agreement = sweep_actions(lambda m: apply_formal(expr, r, m),
+    twist = _Twist(build_realization(n), word)
+    agreement = sweep_actions(twist.root_vector(p, sign),
                               lambda m: apply(op, m), n, cfg.degree)
     table = []
     for beta in monomials_up_to(n, min(cfg.degree, 3)):

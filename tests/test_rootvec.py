@@ -1,12 +1,16 @@
+from itertools import product
+
 import pytest
 
+from qweyl import rootvec
 from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs, InvalidIndex, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import q_int, q_power
-from qweyl.rootvec import (FormalUq, apply_formal, braid_relation_check,
-                           braid_root_vector, closed_form_root_action,
-                           default_braid_word, evaluate, lemma34_check,
+from qweyl.rootvec import (FormalUq, _Twist, apply_formal,
+                           braid_relation_check, braid_root_vector,
+                           closed_form_root_action, default_braid_word,
+                           evaluate, lemma34_check,
                            lusztig_T, positive_roots_in_convex_order,
                            prop32_check, root_op, symE, symF, symK,
                            theorem33_check)
@@ -226,6 +230,9 @@ def test_theorem33():
     assert len(rep.relations) == 6  # three positive roots, each checked both ways
     ids = [x.rel_id for x in rep.relations]
     assert "pos:i=1,j=3" in ids and "neg:i=1,j=3" in ids
+    for n, degree in ((4, 3), (5, 2)):
+        rep = theorem33_check(n, degree)
+        assert rep.failed == 0 and len(rep.relations) == n * (n + 1)
     with pytest.raises(InvalidArgs):
         theorem33_check(2, 4, word=(1, 2))  # too short for the longest element
 
@@ -240,14 +247,94 @@ def test_theorem33_reports_unit_ratio_for_other_words():
     assert {"pos:i=1,j=2", "pos:i=2,j=3"} <= passed  # simple slots still match
 
 
-def test_theorem33_broken_realization_fails():
+def _broken_realization():
+    # criterion 11(c): the raising corner word without its Theta factors
     r = build_realization(2)
     from qweyl.uqrealize import Realization
     stripped = Operator(2, {tuple(g for g in w if g.kind != "T"): c
                             for w, c in r.e[1].terms.items()})
-    broken = Realization(2, (r.e[0], stripped), r.f, r.K, r.K_inv)
-    rep = theorem33_check(2, 4, realization=broken)
+    return Realization(2, (r.e[0], stripped), r.f, r.K, r.K_inv)
+
+
+def test_theorem33_broken_realization_fails():
+    rep = theorem33_check(2, 4, realization=_broken_realization())
     assert rep.failed > 0
+
+
+def _reduced_longest_words(n):
+    out = []
+    for word in product(range(1, n + 1), repeat=n * (n + 1) // 2):
+        try:
+            positive_roots_in_convex_order(word, n)
+        except InvalidArgs:
+            continue
+        out.append(word)
+    return out
+
+
+def _assert_twist_matches_expansion(r, word, degree):
+    n = r.n
+    twist = _Twist(r, word)
+    for p in range(1, len(word) + 1):
+        for sign in "+-":
+            expr = braid_root_vector(p, word, sign, n)
+            act = twist.root_vector(p, sign)
+            for beta in monomials_up_to(n, degree):
+                e = Element.monomial(beta)
+                assert act(e) == apply_formal(expr, r, e), (word, p, sign, beta)
+
+
+def test_twist_matches_formal_expansion_on_every_reduced_word():
+    words2 = _reduced_longest_words(2)
+    words3 = _reduced_longest_words(3)
+    assert len(words2) == 2
+    assert len(words3) == 16 and default_braid_word(3) in words3
+    for word in words2:
+        _assert_twist_matches_expansion(build_realization(2), word, 4)
+        _assert_twist_matches_expansion(_broken_realization(), word, 4)
+    for word in words3:
+        _assert_twist_matches_expansion(build_realization(3), word, 1)
+    _assert_twist_matches_expansion(build_realization(3), default_braid_word(3), 2)
+
+
+def test_braid_suite_twists_match_formal_expansion():
+    # the (i,j,i) and (j,i,j) twists, and their prefixes (i,j) and (i,)
+    n = 3
+    r = build_realization(n)
+    elems = [Element.monomial(b) for b in monomials_up_to(n, 3)]
+    elems.append(Element(n, {MultiIndex((1, 0, 2)): q_int(2),
+                             MultiIndex((0, 1, 1)): q_power(-1, -3)}))
+    gens = [symE(k) for k in range(1, n + 1)] + \
+        [symF(k) for k in range(1, n + 1)] + \
+        [symK(MultiIndex.unit(n, k)) for k in range(1, n + 1)]
+    for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
+        word = (i, j, i)
+        twist = _Twist(r, word)
+        for g in gens:
+            for t in (1, 2, 3):
+                expr = FormalUq.from_word(n, [g])
+                for k in reversed(word[:t]):
+                    expr = lusztig_T(k, expr)
+                for e in elems:
+                    assert twist.act(t, g, e) == apply_formal(expr, r, e)
+
+
+def test_twist_reads_t_image_at_call_time(monkeypatch):
+    # drop the q of E_i E_j - q E_j E_i: T_1(E_2) is then no root vector
+    orig = rootvec._t_image
+
+    def bad_image(i, s, ns):
+        if s.kind == "E" and abs(i - s.i) == 1:
+            return (FormalUq.from_word(ns, [symE(i), symE(s.i)])
+                    - FormalUq.from_word(ns, [symE(s.i), symE(i)]))
+        return orig(i, s, ns)
+
+    monkeypatch.setattr(rootvec, "_t_image", bad_image)
+    rep = theorem33_check(3, 2)
+    monkeypatch.undo()
+    failed = [x for x in rep.relations if x.status == "fail"]
+    assert failed and all(x.counterexample is not None for x in failed)
+    assert theorem33_check(3, 2).failed == 0
 
 
 def test_expression_growth_stays_small():
