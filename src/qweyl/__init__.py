@@ -9,8 +9,7 @@ from .errors import (ContextMix, ExprSyntaxError, InvalidArgs, InvalidIndex,
 from .exprparse import (format_element, format_formal, format_operator,
                         parse_element, parse_operator)
 from .qindex import MultiIndex, star, theta, theta_exponent
-from .qring import (LaurentPoly, bar, eval_at_one, exact_div, q_binom,
-                    q_fact, q_int, q_power)
+from .qring import LaurentPoly, exact_div, q_binom, q_fact, q_int, q_power
 from .report import RelationResult, VerificationReport
 from .rootvec import (FormalUq, apply_formal, braid_relation_check,
                       braid_root_vector, closed_form_root_action,

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .aqn import Element, mul
-from .errors import ContextMix, ExprSyntaxError, InvalidIndex, RankMismatch
+from .errors import (ContextMix, ExprSyntaxError, InvalidIndex, QweylError,
+                     RankMismatch)
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_power
 from .rootvec import FormalUq, root_op
 from .uqrealize import build_realization
-from .weylops import D, GenSymbol, Operator, S, T, X, compose, q_bracket
+from .weylops import D, GenSymbol, Operator, S, T, X, compose
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -66,69 +66,21 @@ def _tokenize(src: str) -> list[_Token]:
     return out
 
 
-# AST ------------------------------------------------------------------------
-
-@dataclass
-class ANum:
-    value: int
-    pos: int
-
-
-@dataclass
-class AQPow:
-    k: int
-    pos: int
-
-
-@dataclass
-class AGen:
-    letter: str
-    index: int
-    inv: bool
-    pos: int
-
-
-@dataclass
-class ATheta:
-    mu: tuple
-    pos: int
-
-
-@dataclass
-class ARoot:
-    i: int
-    j: int
-    pos: int
-
-
-@dataclass
-class AMono:
-    entries: tuple
-    pos: int
-
-
-@dataclass
-class ASum:
-    items: list  # (sign, node) pairs
-
-
-@dataclass
-class AJuxt:
-    factors: list
-
-
-@dataclass
-class ABracket:
-    a: object
-    b: object
-    qexp: int  # the c in [a,b]_c = ab - c ba, as a power of q
-
-
 class _Parser:
-    def __init__(self, src: str):
+    """Builds the value while it parses.  The context supplies the unit
+    value, the product of juxtaposition and a reader for the x/d/s/e/f/K,
+    t(...), E(...) and x^(...) atoms.  A syntax error anywhere wins: an atom
+    the reader rejects stands in as zero, and the leftmost such error is
+    raised only once the whole text has parsed."""
+
+    def __init__(self, src: str, one, product, atom):
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.one = one
+        self.product = product
+        self.atom = atom
+        self.error: QweylError | None = None
 
     def peek(self) -> _Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -148,33 +100,31 @@ class _Parser:
         return self.next()
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         t = self.peek()
         if t is not None:
             raise ExprSyntaxError(f"unexpected {t.text!r}", t.pos)
-        return node
+        if self.error is not None:
+            raise self.error
+        return value
 
     def expr(self):
-        items = []
-        sign = 1
         t = self.peek()
         if t is not None and t.text == "-":
             self.next()
-            sign = -1
             if not self._at_factor():
                 raise ExprSyntaxError("expected a term after '-'", t.pos)
-        items.append((sign, self.term()))
+            out = -self.term()
+        else:
+            out = self.term()
         while True:
             t = self.peek()
             if t is None or t.text not in ("+", "-"):
-                break
+                return out
             self.next()
             if not self._at_factor():
                 raise ExprSyntaxError(f"expected a term after {t.text!r}", t.pos)
-            items.append((1 if t.text == "+" else -1, self.term()))
-        if len(items) == 1 and items[0][0] == 1:
-            return items[0][1]
-        return ASum(items)
+            out = out + self.term() if t.text == "+" else out - self.term()
 
     def _at_factor(self) -> bool:
         t = self.peek()
@@ -184,140 +134,95 @@ class _Parser:
                 or t.text in ("(", "["))
 
     def term(self):
-        factors = [self.factor()]
+        out = self.factor()
         while self._at_factor():
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else AJuxt(factors)
+            out = self.product(out, self.factor())
+        return out
 
     def factor(self):
         t = self.next()
         if t.kind == "int":
-            return ANum(int(t.text), t.pos)
+            return self.one.scale(int(t.text))
         if t.kind == "qpow":
-            k = 1 if t.text == "q" else int(t.text[2:])
-            return AQPow(k, t.pos)
-        if t.kind == "gen":
-            inv = t.text.endswith("^-1")
-            body = t.text[:-3] if inv else t.text
-            letter, index = body[0], int(body[1:])
-            if inv and letter not in ("s", "K"):
-                raise ExprSyntaxError(f"{letter}{index} is not invertible", t.pos)
-            return AGen(letter, index, inv, t.pos)
-        if t.kind == "theta":
-            mu = tuple(int(x) for x in _INTS_RE.findall(t.text))
-            return ATheta(mu, t.pos)
-        if t.kind == "rootop":
-            i, j = (int(x) for x in _INTS_RE.findall(t.text))
-            return ARoot(i, j, t.pos)
-        if t.kind == "monomial":
-            entries = tuple(int(x) for x in _INTS_RE.findall(t.text))
-            return AMono(entries, t.pos)
+            return self.one.scale(q_power(1 if t.text == "q" else int(t.text[2:])))
+        if t.kind in ("gen", "theta", "rootop", "monomial"):
+            if t.kind == "gen" and t.text.endswith("^-1") and t.text[0] not in "sK":
+                raise ExprSyntaxError(
+                    f"{t.text[0]}{int(t.text[1:-3])} is not invertible", t.pos)
+            try:
+                return self.atom(t.kind, t.text)
+            except QweylError as exc:
+                self.error = self.error or exc
+                return self.one.scale(0)
         if t.text == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
+            return value
         if t.text == "[":
             a = self.expr()
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            qexp = 0
+            qexp = 0  # the c in [a,b]_c = ab - c ba, as a power of q
             nxt = self.peek()
             if nxt is not None and nxt.kind in ("qtag", "qtag_inv"):
                 self.next()
                 qexp = 1 if nxt.kind == "qtag" else -1
-            return ABracket(a, b, qexp)
+            return self.product(a, b) - self.product(b, a).scale(q_power(qexp))
         raise ExprSyntaxError(f"unexpected {t.text!r}", t.pos)
 
 
-@lru_cache(maxsize=None)
-def _realization(n: int):
-    return build_realization(n)
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in _INTS_RE.findall(text))
 
 
-def _elab_operator(node, n: int) -> Operator:
-    if isinstance(node, ANum):
-        return Operator.identity(n).scale(node.value)
-    if isinstance(node, AQPow):
-        return Operator.identity(n).scale(q_power(node.k))
-    if isinstance(node, AGen):
-        letter, i = node.letter, node.index
-        if not 1 <= i <= n:
-            raise InvalidIndex(f"index {i} outside 1..{n}")
-        if letter == "x":
-            return Operator.from_word(n, [X(i)])
-        if letter == "d":
-            return Operator.from_word(n, [D(i)])
-        if letter == "s":
-            return Operator.from_word(n, [S(i, -1 if node.inv else 1)])
-        r = _realization(n)
-        if letter == "e":
-            return r.e[i - 1]
-        if letter == "f":
-            return r.f[i - 1]
-        return r.K_inv[i - 1] if node.inv else r.K[i - 1]
-    if isinstance(node, ATheta):
-        if len(node.mu) != n:
-            raise RankMismatch(f"t(...) takes {n} entries, got {len(node.mu)}")
-        return Operator.from_word(n, [T(node.mu)])
-    if isinstance(node, ARoot):
-        return root_op(node.i, node.j, n)
-    if isinstance(node, AMono):
+def _operator_atom(kind: str, text: str, n: int) -> Operator:
+    if kind == "monomial":
         raise ContextMix("monomial x^(...) in an operator expression")
-    if isinstance(node, ASum):
-        out = Operator.zero(n)
-        for sign, sub in node.items:
-            part = _elab_operator(sub, n)
-            out = out + (part if sign > 0 else -part)
-        return out
-    if isinstance(node, AJuxt):
-        out = _elab_operator(node.factors[0], n)
-        for sub in node.factors[1:]:
-            out = compose(out, _elab_operator(sub, n))
-        return out
-    if isinstance(node, ABracket):
-        return q_bracket(_elab_operator(node.a, n), _elab_operator(node.b, n),
-                         q_power(node.qexp))
-    raise ContextMix(f"cannot use {node!r} in an operator expression")
+    if kind == "theta":
+        mu = _ints(text)
+        if len(mu) != n:
+            raise RankMismatch(f"t(...) takes {n} entries, got {len(mu)}")
+        return Operator.from_word(n, [T(mu)])
+    if kind == "rootop":
+        return root_op(*_ints(text), n)
+    inv = text.endswith("^-1")
+    letter, i = text[0], int(text[1:-3] if inv else text[1:])
+    if not 1 <= i <= n:
+        raise InvalidIndex(f"index {i} outside 1..{n}")
+    if letter == "x":
+        return Operator.from_word(n, [X(i)])
+    if letter == "d":
+        return Operator.from_word(n, [D(i)])
+    if letter == "s":
+        return Operator.from_word(n, [S(i, -1 if inv else 1)])
+    r = build_realization(n)
+    if letter == "e":
+        return r.e[i - 1]
+    if letter == "f":
+        return r.f[i - 1]
+    return r.K_inv[i - 1] if inv else r.K[i - 1]
 
 
-def _elab_element(node, n: int) -> Element:
-    if isinstance(node, ANum):
-        return Element.unit(n).scale(node.value)
-    if isinstance(node, AQPow):
-        return Element.unit(n).scale(q_power(node.k))
-    if isinstance(node, AMono):
-        if len(node.entries) != n:
-            raise RankMismatch(f"x^(...) takes {n} entries, got {len(node.entries)}")
-        return Element.monomial(MultiIndex(node.entries))
-    if isinstance(node, (AGen, ATheta, ARoot)):
+def _element_atom(kind: str, text: str, n: int) -> Element:
+    if kind != "monomial":
         raise ContextMix("operator atom in an element expression")
-    if isinstance(node, ASum):
-        out = Element.zero(n)
-        for sign, sub in node.items:
-            part = _elab_element(sub, n)
-            out = out + (part if sign > 0 else -part)
-        return out
-    if isinstance(node, AJuxt):
-        out = _elab_element(node.factors[0], n)
-        for sub in node.factors[1:]:
-            out = mul(out, _elab_element(sub, n))
-        return out
-    if isinstance(node, ABracket):
-        a = _elab_element(node.a, n)
-        b = _elab_element(node.b, n)
-        return mul(a, b) - mul(b, a).scale(q_power(node.qexp))
-    raise ContextMix(f"cannot use {node!r} in an element expression")
+    entries = _ints(text)
+    if len(entries) != n:
+        raise RankMismatch(f"x^(...) takes {n} entries, got {len(entries)}")
+    return Element.monomial(MultiIndex(entries))
 
 
 def parse_operator(src: str, n: int) -> Operator:
     """Parse operator-context source text at rank n."""
-    return _elab_operator(_Parser(src).parse(), n)
+    return _Parser(src, Operator.identity(n), compose,
+                   lambda kind, text: _operator_atom(kind, text, n)).parse()
 
 
 def parse_element(src: str, n: int) -> Element:
     """Parse element-context source text at rank n."""
-    return _elab_element(_Parser(src).parse(), n)
+    return _Parser(src, Element.unit(n), mul,
+                   lambda kind, text: _element_atom(kind, text, n)).parse()
 
 
 # printing --------------------------------------------------------------------

@@ -264,14 +264,6 @@ def q_binom(a: int, b: int) -> LaurentPoly:
     return _binom(a, b)
 
 
-def eval_at_one(p: LaurentPoly) -> int:
-    return p.eval_at_one()
-
-
-def bar(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
-
-
 def accumulate(out: dict, key, coeff) -> None:
     """Add coeff to out[key] in place, dropping the key when the sum is 0."""
     s = out[key] + coeff if key in out else coeff

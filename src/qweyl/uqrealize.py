@@ -14,8 +14,7 @@ from .errors import InvalidArgs
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
 from .report import VerificationReport
-from .weylops import (D, Operator, S, T, X, _first_failure,
-                      action_equals_quotient, apply, compose,
+from .weylops import (D, Operator, S, T, X, _first_failure, apply, compose,
                       op_eq_up_to_degree, q_bracket)
 
 
@@ -206,8 +205,8 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
         for j in range(1, n + 1):
             com = q_bracket(r.e[i - 1], r.f[j - 1], 1)
             if i == j:
-                res = action_equals_quotient(
-                    com, r.K[i - 1] - r.K_inv[i - 1], den, degree)
+                res = op_eq_up_to_degree(
+                    com, r.K[i - 1] - r.K_inv[i - 1], degree, den)
             else:
                 res = op_eq_up_to_degree(com, Operator.zero(n), degree)
             rep.record(f"R3:i={i},j={j}", res.to_counterexample())

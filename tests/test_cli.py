@@ -99,6 +99,13 @@ def test_rootvec(capsys):
     assert code == 2
 
 
+def test_rootvec_word_cap(capsys):
+    # prefix 9 of the default n = 4 word would expand to 2^33 words
+    code, out, err = run(capsys, ["rootvec", "--n", "4", "--i", "3", "--j", "5"])
+    assert code == 2 and out == ""
+    assert "8589934592 words" in err and "65536" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "weyl", "--n", "1", "--degree", "3",

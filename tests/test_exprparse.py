@@ -69,6 +69,17 @@ def test_syntax_error_positions():
         parse_operator("x1^-1", 2)  # not invertible
 
 
+def test_error_precedence():
+    # a syntax error anywhere beats a bad atom; among bad atoms the
+    # leftmost wins
+    with pytest.raises(ExprSyntaxError):
+        parse_operator("x3 +", 2)
+    with pytest.raises(InvalidIndex):
+        parse_operator("x3 x^(1,0)", 2)
+    with pytest.raises(ExprSyntaxError):
+        parse_element("d1 )", 2)
+
+
 def test_element_context():
     assert parse_element("x^(0,0)", 2) == Element.unit(2)
     got = parse_element("(q^2+2+q^-2) x^(1,2)", 2)

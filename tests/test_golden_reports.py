@@ -53,8 +53,8 @@ def _weyl_bad_rewrite():
     # criterion 11(a): drop the sigma term of d_i x_i
     orig = weylops._rewrite_pair
 
-    def bad_rewrite(a, b, n):
-        out = orig(a, b, n)
+    def bad_rewrite(a, b):
+        out = orig(a, b)
         if a.kind == "D" and b.kind == "X" and a.i == b.i:
             return out[:1]
         return out

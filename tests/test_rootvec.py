@@ -7,7 +7,8 @@ from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs, InvalidIndex, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import q_int, q_power
-from qweyl.rootvec import (FormalUq, _Twist, apply_formal,
+from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, _Twist,
+                           _expansion_words, apply_formal,
                            braid_relation_check, braid_root_vector,
                            closed_form_root_action, default_braid_word,
                            evaluate, lemma34_check,
@@ -335,6 +336,22 @@ def test_twist_reads_t_image_at_call_time(monkeypatch):
     failed = [x for x in rep.relations if x.status == "fail"]
     assert failed and all(x.counterexample is not None for x in failed)
     assert theorem33_check(3, 2).failed == 0
+
+
+def test_word_count_matches_expansion_on_every_reduced_word():
+    for n in (1, 2, 3):
+        for word in _reduced_longest_words(n):
+            for p in range(1, len(word) + 1):
+                for sign, base in (("+", symE(word[p - 1])),
+                                   ("-", symF(word[p - 1]))):
+                    count = _expansion_words(word, p - 1, base, n, {})
+                    expr = braid_root_vector(p, word, sign, n)
+                    assert count == len(expr.terms), (word, p, sign)
+    # prefix 9 of the default n = 4 word is refused before expanding
+    assert _expansion_words(default_braid_word(4), 8, symE(2), 4, {}) \
+        == 2 ** 33 > BRAID_WORD_CAP
+    with pytest.raises(InvalidArgs, match="8589934592 words"):
+        braid_root_vector(9, default_braid_word(4), "+", 4)
 
 
 def test_expression_growth_stays_small():
