@@ -17,7 +17,7 @@ import pytest
 
 from qweyl import cli, weylops
 from qweyl.uqrealize import Realization, build_realization, verify_serre
-from qweyl.weylops import Operator, verify_weyl_relations
+from qweyl.weylops import Operator, compose, verify_weyl_relations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -49,6 +49,21 @@ def _serre_stripped_corner():
     return verify_serre(2, 4, realization=broken)
 
 
+def _serre_swapped_f():
+    # R2 passes its e part and fails its second (f) part
+    r = build_realization(2)
+    swapped = Realization(2, r.e, (r.f[1], r.f[0]), r.K, r.K_inv)
+    return verify_serre(2, 3, realization=swapped)
+
+
+def _serre_squared_k():
+    # R3:i=1,j=1 leaves a remainder after dividing by q - q^-1
+    r = build_realization(2)
+    squared = Realization(2, r.e, r.f, (compose(r.K[0], r.K[0]), r.K[1]),
+                          r.K_inv)
+    return verify_serre(2, 3, realization=squared)
+
+
 def _weyl_bad_rewrite():
     # criterion 11(a): drop the sigma term of d_i x_i
     orig = weylops._rewrite_pair
@@ -70,6 +85,8 @@ CASES = {
     "theorem33_bad_word": _cli(["verify", "theorem33", "--n", "2",
                                 "--word", "2,1,2", "--degree", "3"]),
     "serre_stripped_corner": _report(_serre_stripped_corner),
+    "serre_swapped_f": _report(_serre_swapped_f),
+    "serre_squared_K": _report(_serre_squared_k),
     "weyl_bad_rewrite": _report(_weyl_bad_rewrite),
     "all_rank_one": _cli(["verify", "all", "--n", "1", "--degree", "2"]),
 }
