@@ -48,7 +48,6 @@ class CliConfig:
     degree: int = 6
     fmt: str = "text"
     out: str | None = None
-    threads: int = 1
     word: tuple[int, ...] | None = None
 
 
@@ -62,13 +61,12 @@ def _build_config(args) -> CliConfig:
     degree = getattr(args, "degree", 6)
     if degree < 0:
         raise _ConfigError("degree must be >= 0")
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise _ConfigError("threads must be >= 1")
     cap = os.environ.get("QWEYL_THREADS")
     if cap is not None:
         try:
-            threads = min(threads, max(1, int(cap)))
+            int(cap)
         except ValueError:
             raise _ConfigError(f"QWEYL_THREADS must be an integer, got {cap!r}")
     word = None
@@ -78,7 +76,7 @@ def _build_config(args) -> CliConfig:
         except ValueError:
             raise _ConfigError("--word must be a comma-separated integer list")
     return CliConfig(n=args.n, degree=degree, fmt=args.format,
-                     out=getattr(args, "out", None), threads=threads, word=word)
+                     out=getattr(args, "out", None), word=word)
 
 
 def _emit(cfg: CliConfig, text: str) -> None:

@@ -23,8 +23,7 @@ from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, cartan_matrix,
                         corner_lowering_op, corner_raising_op,
                         diagonal_sigma_op, q_euler_eigenvalue)
-from .weylops import (D, Operator, S, X, apply, compose, op_eq_up_to_degree,
-                      q_bracket, sweep_actions)
+from .weylops import D, Operator, S, X, apply, compose, decide, q_bracket
 
 
 @dataclass(frozen=True)
@@ -454,23 +453,22 @@ def prop32_check(n: int, degree: int) -> VerificationReport:
     qinv = q_power(-1)
     den = q - qinv
     for s in range(1, n):
-        rep.record(f"item1:s={s}", op_eq_up_to_degree(
-            q_bracket(root_op(s, s + 1, n), root_op(s + 1, n + 1, n), q),
-            root_op(s, n + 1, n), degree).to_counterexample())
+        decide(rep, f"item1:s={s}",
+               q_bracket(root_op(s, s + 1, n), root_op(s + 1, n + 1, n), q),
+               root_op(s, n + 1, n))
         for j in range(s + 1, n + 1):
-            rep.record(f"item2:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(root_op(s, j, n), root_op(j, n + 1, n), q),
-                root_op(s, n + 1, n), degree).to_counterexample())
+            decide(rep, f"item2:s={s},j={j}",
+                   q_bracket(root_op(s, j, n), root_op(j, n + 1, n), q),
+                   root_op(s, n + 1, n))
         for j in range(s + 1, n + 1):
-            rep.record(f"item3:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(root_op(n + 1, j, n), root_op(j, s, n), qinv),
-                root_op(n + 1, s, n), degree).to_counterexample())
+            decide(rep, f"item3:s={s},j={j}",
+                   q_bracket(root_op(n + 1, j, n), root_op(j, s, n), qinv),
+                   root_op(n + 1, s, n))
         plus = [1] * n
         plus[s - 1] += 1
         num = diagonal_sigma_op(n, plus) - diagonal_sigma_op(n, [-x for x in plus])
         bracket = q_bracket(root_op(s, n + 1, n), root_op(n + 1, s, n), 1)
-        rep.record(f"item4:s={s}", op_eq_up_to_degree(
-            bracket, num, degree, den).to_counterexample())
+        decide(rep, f"item4:s={s}", bracket, num, den)
     return rep
 
 
@@ -484,11 +482,6 @@ def braid_relation_check(n: int, degree: int) -> VerificationReport:
         raise InvalidArgs("needs n >= 2")
     rep = VerificationReport("braid", n, degree, rank_sl=n + 1)
     r = build_realization(n)
-
-    def ck(rel_id, lhs, rhs):
-        rep.record(rel_id,
-                   sweep_actions(lhs, rhs, n, degree).to_counterexample())
-
     gens = []
     for k in range(1, n + 1):
         gens += [(f"E{k}", symE(k)), (f"F{k}", symF(k)),
@@ -497,22 +490,22 @@ def braid_relation_check(n: int, degree: int) -> VerificationReport:
         j = i + 1
         lhs, rhs = _Twist(r, (i, j, i)), _Twist(r, (j, i, j))
         for name, g in gens:
-            ck(f"braid:i={i},j={j},g={name}", lambda m: lhs.act(3, g, m),
-               lambda m: rhs.act(3, g, m))
+            decide(rep, f"braid:i={i},j={j},g={name}",
+                   lambda m: lhs.act(3, g, m), lambda m: rhs.act(3, g, m))
     for i in range(1, n + 1):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n:
                 continue
             moved = _Twist(r, (i, j))
-            ck(f"exchange:i={i},j={j}", lambda m: moved.act(2, symE(i), m),
-               lambda m: apply(r.e[j - 1], m))
+            decide(rep, f"exchange:i={i},j={j}",
+                   lambda m: moved.act(2, symE(i), m), r.e[j - 1])
     for i in range(1, n + 1):
         fixed = _Twist(r, (i,))
         for j in range(1, n + 1):
             if abs(i - j) <= 1:
                 continue
-            ck(f"far:i={i},j={j}", lambda m: fixed.act(1, symE(j), m),
-               lambda m: apply(r.e[j - 1], m))
+            decide(rep, f"far:i={i},j={j}",
+                   lambda m: fixed.act(1, symE(j), m), r.e[j - 1])
     return rep
 
 
@@ -530,12 +523,10 @@ def lemma34_check(n: int, degree: int) -> VerificationReport:
         te = evaluate(lusztig_T(s, FormalUq.from_word(n, [symE(s)])), r)
         tf = evaluate(lusztig_T(s, FormalUq.from_word(n, [symF(s)])), r)
         for j in range(s + 2, n + 2):
-            rep.record(f"part1:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(root_op(s, j, n), te, q), root_op(s + 1, j, n),
-                degree).to_counterexample())
-            rep.record(f"part2:s={s},j={j}", op_eq_up_to_degree(
-                q_bracket(tf, root_op(j, s, n), qinv), root_op(j, s + 1, n),
-                degree).to_counterexample())
+            decide(rep, f"part1:s={s},j={j}", q_bracket(root_op(s, j, n), te, q),
+                   root_op(s + 1, j, n))
+            decide(rep, f"part2:s={s},j={j}", q_bracket(tf, root_op(j, s, n), qinv),
+                   root_op(j, s + 1, n))
     return rep
 
 
@@ -582,13 +573,10 @@ def theorem33_check(n: int, degree: int, word=None,
     twist = _Twist(r, word)
     for p, (a, b) in enumerate(roots, start=1):
         for sign, ops in (("+", (a, b)), ("-", (b, a))):
-            target = root_op(ops[0], ops[1], n)
-            res = sweep_actions(twist.root_vector(p, sign),
-                                lambda m: apply(target, m), n, degree)
-            ce = res.to_counterexample()
-            if ce is not None and res.rhs is not None:
+            res = decide(rep, f"{'pos' if sign == '+' else 'neg'}:i={a},j={b}",
+                         twist.root_vector(p, sign), root_op(ops[0], ops[1], n))
+            if not res.equal and res.rhs is not None:
                 ratio = _proportionality(res.lhs, res.rhs)
                 if ratio is not None:
-                    ce["ratio"] = ratio
-            rep.record(f"{'pos' if sign == '+' else 'neg'}:i={a},j={b}", ce)
+                    rep.relations[-1].counterexample["ratio"] = ratio
     return rep

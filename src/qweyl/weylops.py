@@ -365,14 +365,6 @@ class OpEqResult:
         return out
 
 
-def _first_failure(*results: OpEqResult) -> OpEqResult:
-    """Combine sub-checks of one relation: the first failure, else a pass."""
-    for r in results:
-        if not r.equal:
-            return r
-    return results[0]
-
-
 def sweep_actions(lhs_fn, rhs_fn, n: int, degree: int) -> OpEqResult:
     """Compare two monomial-action callables on all |beta| <= degree."""
     one = LaurentPoly.one()
@@ -387,16 +379,38 @@ def sweep_actions(lhs_fn, rhs_fn, n: int, degree: int) -> OpEqResult:
     return OpEqResult(True)
 
 
+def _action(side, den: LaurentPoly | None = None):
+    """A relation side as a monomial action: an Operator is applied, any
+    other side is a callable Element -> Element.  With den, each result is
+    divided exactly by den, or is None when some coefficient does not divide."""
+    act = (lambda m: apply(side, m)) if isinstance(side, Operator) else side
+    if den is None:
+        return act
+    return lambda m: divide_element(act(m), den)
+
+
 def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
                        den: LaurentPoly | None = None) -> OpEqResult:
     """Action equality of two operators on every monomial of degree <= degree.
     With den, compare a with b / den, dividing each coefficient exactly."""
     a._check(b)
+    return sweep_actions(_action(a), _action(b, den), a.n, degree)
 
-    def rhs(m):
-        out = apply(b, m)
-        return out if den is None else divide_element(out, den)
-    return sweep_actions(lambda m: apply(a, m), rhs, a.n, degree)
+
+def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
+           den: LaurentPoly | None = None, parts=()) -> OpEqResult:
+    """Decide the relation lhs = rhs / den and then each (lhs, rhs, den) of
+    parts, on every monomial of degree <= rep.degree, in order.  A side is
+    an Operator or a callable Element -> Element.  Records the first failing
+    part's counterexample under rel_id, or a pass, and returns that part's
+    result (the last one when all pass)."""
+    for a, b, d in ((lhs, rhs, den), *parts):
+        # n and degree stay positional: perfbench/tracer.py reads args 2 and 3
+        res = sweep_actions(_action(a), _action(b, d), rep.n, rep.degree)
+        if not res.equal:
+            break
+    rep.record(rel_id, res.to_counterexample())
+    return res
 
 
 def divide_element(num: Element, den: LaurentPoly) -> Element | None:
@@ -432,8 +446,7 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
     ident = Operator.identity(n)
 
     def ck(rel_id, lhs, rhs, den=None):
-        res = op_eq_up_to_degree(normalize(lhs), normalize(rhs), degree, den)
-        rep.record(rel_id, res.to_counterexample())
+        decide(rep, rel_id, normalize(lhs), normalize(rhs), den)
 
     eps = {i: MultiIndex.unit(n, i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
