@@ -47,11 +47,11 @@ class Element(LinComb):
 
     @staticmethod
     def _sort_key(beta: MultiIndex):
-        return beta.entries
+        return beta
 
     @staticmethod
     def _key_text(beta: MultiIndex) -> str:
-        return f"x^{list(beta.entries)}"
+        return f"x^{list(beta)}"
 
     _key_json = staticmethod(MultiIndex.to_json)
     _key_from_json = staticmethod(MultiIndex.from_json)
@@ -67,7 +67,7 @@ def mul_monomial(alpha: MultiIndex, beta: MultiIndex) -> Element:
     if not (alpha.is_nonneg() and beta.is_nonneg()):
         raise InvalidArgs("monomial exponents must be nonnegative")
     coeff = q_power(star(alpha, beta))
-    for a, b in zip(alpha.entries, beta.entries):
+    for a, b in zip(alpha, beta):
         if a and b:
             coeff = coeff * q_binom(a + b, a)
     return Element.monomial(alpha + beta, coeff)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .aqn import Element, monomials_up_to
-from .errors import QweylError
+from .errors import InvalidArgs, QweylError
 from .exprparse import (format_element, format_formal, format_operator,
                         parse_element, parse_operator)
 from .report import RelationResult, VerificationReport
@@ -51,30 +51,26 @@ class CliConfig:
     word: tuple[int, ...] | None = None
 
 
-class _ConfigError(Exception):
-    pass
-
-
 def _build_config(args) -> CliConfig:
     if args.n < 1:
-        raise _ConfigError("n must be >= 1")
+        raise InvalidArgs("n must be >= 1")
     degree = getattr(args, "degree", 6)
     if degree < 0:
-        raise _ConfigError("degree must be >= 0")
+        raise InvalidArgs("degree must be >= 0")
     if getattr(args, "threads", 1) < 1:
-        raise _ConfigError("threads must be >= 1")
+        raise InvalidArgs("threads must be >= 1")
     cap = os.environ.get("QWEYL_THREADS")
     if cap is not None:
         try:
             int(cap)
         except ValueError:
-            raise _ConfigError(f"QWEYL_THREADS must be an integer, got {cap!r}")
+            raise InvalidArgs(f"QWEYL_THREADS must be an integer, got {cap!r}")
     word = None
     if getattr(args, "word", None):
         try:
             word = tuple(int(x) for x in args.word.split(","))
         except ValueError:
-            raise _ConfigError("--word must be a comma-separated integer list")
+            raise InvalidArgs("--word must be a comma-separated integer list")
     return CliConfig(n=args.n, degree=degree, fmt=args.format,
                      out=getattr(args, "out", None), word=word)
 
@@ -145,7 +141,7 @@ def _cmd_normalize(args) -> int:
         if res.equal:
             lines.append(f"check: action equality up to degree {cfg.degree} confirmed")
         else:
-            lines.append(f"check FAILED at beta={list(res.beta.entries)}")
+            lines.append(f"check FAILED at beta={list(res.beta)}")
             code = 1
     _emit(cfg, "\n".join(lines))
     return code
@@ -155,12 +151,12 @@ def _cmd_rootvec(args) -> int:
     cfg = _build_config(args)
     i, j, n = args.i, args.j, cfg.n
     if i == j or not (1 <= i <= n + 1 and 1 <= j <= n + 1):
-        raise _ConfigError(f"need distinct indices in 1..{n + 1}, got i={i}, j={j}")
+        raise InvalidArgs(f"need distinct indices in 1..{n + 1}, got i={i}, j={j}")
     word = cfg.word if cfg.word is not None else default_braid_word(n)
     roots = positive_roots_in_convex_order(word, n)
     key = (i, j) if i < j else (j, i)
     if key not in roots:
-        raise _ConfigError(f"root {key} not produced by the braid word {list(word)}")
+        raise InvalidArgs(f"root {key} not produced by the braid word {list(word)}")
     p = roots.index(key) + 1
     sign = "+" if i < j else "-"
     op = root_op(i, j, n)
@@ -194,7 +190,7 @@ def _cmd_rootvec(args) -> int:
             "  action table:",
         ]
         for b, v in table:
-            mono = "x^(" + ",".join(str(x) for x in b.entries) + ")"
+            mono = "x^(" + ",".join(str(x) for x in b) + ")"
             lines.append(f"    {mono} -> {format_element(v)}")
         lines.append(f"  agreement up to degree {cfg.degree}: "
                      f"{'pass' if agreement.equal else 'FAIL'}")
@@ -256,9 +252,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QweylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

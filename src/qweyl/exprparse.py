@@ -25,7 +25,7 @@ from .errors import (ContextMix, ExprSyntaxError, InvalidIndex, QweylError,
                      RankMismatch)
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_power
-from .rootvec import FormalUq, root_op
+from .rootvec import FormalUq, UqSymbol, root_op
 from .uqrealize import build_realization
 from .weylops import D, GenSymbol, Operator, S, T, X, compose
 
@@ -249,56 +249,37 @@ def _symbol_text(g: GenSymbol) -> str:
     return "t(" + ",".join(str(v) for v in g.mu) + ")"
 
 
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    if not parts:
-        return "0"
+def _uq_symbol_text(s: UqSymbol) -> str:
+    if s.kind == "K":
+        return "K(" + ",".join(str(v) for v in s.v) + ")"
+    return f"{s.kind}{s.i}"
+
+
+def _format_terms(value, key_text) -> str:
+    """Print the terms of a combination in order: sign, coefficient prefix
+    and key_text(key), or the bare coefficient when key_text gives ''."""
     out = []
-    for t, (sign, body) in enumerate(parts):
+    for t, (key, c) in enumerate(value.sorted_terms()):
+        sign, prefix = _coeff_prefix(c)
+        text = key_text(key)
+        body = prefix + text if text else prefix.strip() or "1"
         if t == 0:
             out.append(body if sign == "+" else "-" + body)
         else:
             out.append((" + " if sign == "+" else " - ") + body)
-    return "".join(out)
+    return "".join(out) or "0"
 
 
 def format_element(e: Element) -> str:
-    parts = []
-    for beta, c in e.sorted_terms():
-        sign, prefix = _coeff_prefix(c)
-        body = prefix + "x^(" + ",".join(str(v) for v in beta.entries) + ")"
-        parts.append((sign, body))
-    return _join_terms(parts)
+    return _format_terms(
+        e, lambda beta: "x^(" + ",".join(str(v) for v in beta) + ")")
 
 
 def format_operator(op: Operator) -> str:
-    parts = []
-    for word, c in op.sorted_terms():
-        sign, prefix = _coeff_prefix(c)
-        body = " ".join(_symbol_text(g) for g in word)
-        if not body:
-            body = prefix.strip() or "1"
-        else:
-            body = prefix + body
-        parts.append((sign, body))
-    return _join_terms(parts)
+    return _format_terms(op, lambda word: " ".join(map(_symbol_text, word)))
 
 
 def format_formal(expr: FormalUq) -> str:
     """Display form of a formal expression (not re-parseable: E/F/K words
     are abstract generators, not operator atoms)."""
-    parts = []
-    for word, c in expr.sorted_terms():
-        sign, prefix = _coeff_prefix(c)
-        syms = []
-        for s in word:
-            if s.kind == "K":
-                syms.append("K(" + ",".join(str(v) for v in s.v) + ")")
-            else:
-                syms.append(f"{s.kind}{s.i}")
-        body = " ".join(syms)
-        if not body:
-            body = prefix.strip() or "1"
-        else:
-            body = prefix + body
-        parts.append((sign, body))
-    return _join_terms(parts)
+    return _format_terms(expr, lambda word: " ".join(map(_uq_symbol_text, word)))

@@ -11,18 +11,20 @@ from .errors import RankMismatch
 from .qring import LaurentPoly, q_power
 
 
-class MultiIndex:
+class MultiIndex(tuple):
     """An integer vector of fixed rank.
 
     Used both as a monomial exponent (nonnegative entries) and as a
-    diagonal weight (arbitrary sign).  Immutable and hashable; compares
-    lexicographically, which fixes every enumeration order in the package.
+    diagonal weight (arbitrary sign).  A tuple of ints, so it is immutable,
+    hashes and compares as that tuple, and orders lexicographically, which
+    fixes every enumeration order in the package.  +, - and negation are
+    vector operations.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
-        self.entries = tuple(int(v) for v in entries)
+    def __new__(cls, entries):
+        return tuple.__new__(cls, map(int, entries))
 
     @staticmethod
     def zero(n: int) -> "MultiIndex":
@@ -33,71 +35,47 @@ class MultiIndex:
         """The i-th standard basis vector, i counted from 1."""
         if not 1 <= i <= n:
             raise RankMismatch(f"unit index {i} outside 1..{n}")
-        return MultiIndex(tuple(1 if t == i - 1 else 0 for t in range(n)))
+        return MultiIndex(1 if t == i - 1 else 0 for t in range(n))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def degree(self) -> int:
-        return sum(self.entries)
+        return sum(self)
 
     def is_nonneg(self) -> bool:
-        return all(v >= 0 for v in self.entries)
+        return all(v >= 0 for v in self)
 
     def bump(self, i: int, delta: int) -> "MultiIndex":
         """Return a copy with entry i (1-based) shifted by delta."""
-        e = list(self.entries)
+        e = list(self)
         e[i - 1] += delta
         return MultiIndex(e)
 
     def scaled(self, m: int) -> "MultiIndex":
-        return MultiIndex(tuple(m * v for v in self.entries))
+        return MultiIndex(m * v for v in self)
 
     def _check(self, other: "MultiIndex") -> None:
-        if len(self.entries) != len(other.entries):
-            raise RankMismatch(
-                f"rank {len(self.entries)} vs {len(other.entries)}")
+        if len(self) != len(other):
+            raise RankMismatch(f"rank {len(self)} vs {len(other)}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         self._check(other)
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return MultiIndex(a + b for a, b in zip(self, other))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         self._check(other)
-        return MultiIndex(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return MultiIndex(a - b for a, b in zip(self, other))
 
     def __neg__(self) -> "MultiIndex":
-        return MultiIndex(tuple(-a for a in self.entries))
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __lt__(self, other: "MultiIndex") -> bool:
-        self._check(other)
-        return self.entries < other.entries
-
-    def __le__(self, other: "MultiIndex") -> bool:
-        self._check(other)
-        return self.entries <= other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+        return MultiIndex(-a for a in self)
 
     def __repr__(self) -> str:
-        return f"MultiIndex({list(self.entries)})"
+        return f"MultiIndex({list(self)})"
 
     def to_json(self) -> list:
-        return list(self.entries)
+        return list(self)
 
     @staticmethod
     def from_json(obj) -> "MultiIndex":
@@ -109,7 +87,7 @@ def star(alpha: MultiIndex, beta: MultiIndex) -> int:
     alpha._check(beta)
     total = 0
     prefix = 0
-    for a, b in zip(alpha.entries, beta.entries):
+    for a, b in zip(alpha, beta):
         total += a * prefix
         prefix += b
     return total
@@ -128,7 +106,7 @@ def _theta_entries(a: tuple, b: tuple) -> int:
 def theta_exponent(alpha: MultiIndex, beta: MultiIndex) -> int:
     """Exponent of theta(alpha, beta), i.e. star(alpha, beta) - star(beta, alpha)."""
     alpha._check(beta)
-    return _theta_entries(alpha.entries, beta.entries)
+    return _theta_entries(alpha, beta)
 
 
 def theta(alpha: MultiIndex, beta: MultiIndex) -> LaurentPoly:

@@ -13,7 +13,7 @@ tests compare the twist against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aqn import Element
 from .errors import InvalidArgs, InvalidIndex, NotDivisible, RankMismatch
@@ -26,8 +26,7 @@ from .uqrealize import (Realization, build_realization, cartan_matrix,
 from .weylops import D, Operator, S, X, apply, compose, decide, q_bracket
 
 
-@dataclass(frozen=True)
-class UqSymbol:
+class UqSymbol(NamedTuple):
     """A letter of a formal word: E_i, F_i, or K^v with v over simple roots."""
 
     kind: str
@@ -238,7 +237,7 @@ class _Twist:
     T_{i_t}(s), the letters of w applied right to left, and sigma_0(s) is
     the realized symbol.  This is an identity of substitutions in the free
     algebra and uses no U_q relation.  Results are memoized on
-    (t, symbol, exponent tuple) as dicts of exponent tuple -> coefficient,
+    (t, symbol, exponent) as dicts of exponent -> coefficient,
     filled only from the monomials actually reached; the memo lives as long
     as the instance, which serves one check.
     """
@@ -252,11 +251,11 @@ class _Twist:
 
     def act(self, t: int, s: UqSymbol, elem: Element) -> Element:
         """sigma_t(s) applied to elem."""
-        out: dict[tuple, LaurentPoly] = {}
+        out: dict[MultiIndex, LaurentPoly] = {}
         for beta, c in elem.terms.items():
-            for b, c2 in self._sigma(t, s, beta.entries).items():
+            for b, c2 in self._sigma(t, s, beta).items():
                 accumulate(out, b, c * c2)
-        return Element._raw(elem.n, {MultiIndex(b): c for b, c in out.items()})
+        return Element._raw(elem.n, out)
 
     def root_vector(self, p: int, sign: str):
         """The monomial action of braid_root_vector(p, word, sign)."""
@@ -264,24 +263,23 @@ class _Twist:
         base = symE(k) if sign == "+" else symF(k)
         return lambda m: self.act(p - 1, base, m)
 
-    def _sigma(self, t: int, s: UqSymbol, b: tuple) -> dict:
+    def _sigma(self, t: int, s: UqSymbol, b: MultiIndex) -> dict:
         key = (t, s, b)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        hit = {}
         if t == 0:
             op = self._ops.get(s)
             if op is None:
                 op = self._ops[s] = _realized(s, self.r)
-            mono = Element._raw(self.r.n, {MultiIndex(b): LaurentPoly.one()})
-            for beta, c in apply(op, mono).terms.items():
-                hit[beta.entries] = c
+            mono = Element._raw(self.r.n, {b: LaurentPoly.one()})
+            hit = apply(op, mono).terms
         else:
+            hit = {}
             for w, c in self._image(self.word[t - 1], s):
                 cur = {b: c}
                 for letter in reversed(w):
-                    nxt: dict[tuple, LaurentPoly] = {}
+                    nxt: dict[MultiIndex, LaurentPoly] = {}
                     for b1, c1 in cur.items():
                         for b2, c2 in self._sigma(t - 1, letter, b1).items():
                             accumulate(nxt, b2, c1 * c2)
@@ -325,29 +323,28 @@ def closed_form_root_action(i: int, j: int, beta: MultiIndex) -> Element:
     n = beta.n
     if not (1 <= i <= n + 1 and 1 <= j <= n + 1) or i == j:
         raise InvalidIndex(f"need distinct indices in 1..{n + 1}, got ({i}, {j})")
-    b = beta.entries
     if j == n + 1:
         s = i
-        tail = sum(b[s:])
-        coeff = (q_int(b[s - 1] + 1) * q_euler_eigenvalue(beta)).shift(-tail)
+        tail = sum(beta[s:])
+        coeff = (q_int(beta[s - 1] + 1) * q_euler_eigenvalue(beta)).shift(-tail)
         return Element.monomial(beta.bump(s, 1), coeff)
     if i == n + 1:
         s = j
-        if b[s - 1] == 0:
+        if beta[s - 1] == 0:
             return Element.zero(n)
-        tail = sum(b[s:])
+        tail = sum(beta[s:])
         return Element.monomial(beta.bump(s, -1), q_power(tail, -1))
     if i < j:
-        if b[j - 1] == 0:
+        if beta[j - 1] == 0:
             return Element.zero(n)
-        between = sum(b[i:j - 1])
-        coeff = q_int(b[i - 1] + 1).shift(-between)
+        between = sum(beta[i:j - 1])
+        coeff = q_int(beta[i - 1] + 1).shift(-between)
         return Element.monomial(beta.bump(i, 1).bump(j, -1), coeff)
     # j < i
-    if b[j - 1] == 0:
+    if beta[j - 1] == 0:
         return Element.zero(n)
-    between = sum(b[j:i - 1])
-    coeff = q_int(b[i - 1] + 1).shift(between)
+    between = sum(beta[j:i - 1])
+    coeff = q_int(beta[i - 1] + 1).shift(between)
     return Element.monomial(beta.bump(j, -1).bump(i, 1), coeff)
 
 

@@ -34,7 +34,7 @@ def q_euler_eigenvalue(beta: MultiIndex) -> LaurentPoly:
     degree = beta.degree()
     prefix = 0
     for k in range(n):
-        bk = beta.entries[k]
+        bk = beta[k]
         # theta(eps_{k+1}, beta) = q^(prefix - suffix)
         exp = prefix - (degree - prefix - bk)
         total = total + q_int(bk).shift(exp)
@@ -136,24 +136,24 @@ def closed_form_action(kind: str, i: int, beta: MultiIndex) -> Element:
     n = beta.n
     if not 1 <= i <= n:
         raise InvalidArgs(f"generator index {i} outside 1..{n}")
-    b = beta.entries
     if kind == "e":
         if i < n:
-            if b[i] == 0:
+            if beta[i] == 0:
                 return Element.zero(n)
-            return Element.monomial(beta.bump(i, 1).bump(i + 1, -1), q_int(b[i - 1] + 1))
-        coeff = q_int(b[n - 1] + 1) * q_euler_eigenvalue(beta)
+            return Element.monomial(beta.bump(i, 1).bump(i + 1, -1),
+                                    q_int(beta[i - 1] + 1))
+        coeff = q_int(beta[n - 1] + 1) * q_euler_eigenvalue(beta)
         return Element.monomial(beta.bump(n, 1), coeff)
     if kind == "f":
         if i < n:
-            if b[i - 1] == 0:
+            if beta[i - 1] == 0:
                 return Element.zero(n)
-            return Element.monomial(beta.bump(i, -1).bump(i + 1, 1), q_int(b[i] + 1))
-        if b[n - 1] == 0:
+            return Element.monomial(beta.bump(i, -1).bump(i + 1, 1), q_int(beta[i] + 1))
+        if beta[n - 1] == 0:
             return Element.zero(n)
         return Element.monomial(beta.bump(n, -1), LaurentPoly({0: -1}))
     if kind in ("K", "Kinv"):
-        exp = b[i - 1] - b[i] if i < n else beta.degree() + b[n - 1]
+        exp = beta[i - 1] - beta[i] if i < n else beta.degree() + beta[n - 1]
         if kind == "Kinv":
             exp = -exp
         return Element.monomial(beta, q_power(exp))
@@ -203,32 +203,22 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
             decide(rep, f"R3:i={i},j={j}", q_bracket(r.e[i - 1], r.f[j - 1], 1),
                    num, den)
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if abs(i - j) != 1:
-                continue
-            ei, ej = r.e[i - 1], r.e[j - 1]
-            lhs = (compose(ei, compose(ei, ej))
-                   - compose(ei, compose(ej, ei)).scale(two)
-                   + compose(ej, compose(ei, ei)))
-            decide(rep, f"R4:i={i},j={j}", lhs, Operator.zero(n))
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            decide(rep, f"R5:i={i},j={j}", compose(r.e[i - 1], r.e[j - 1]),
-                   compose(r.e[j - 1], r.e[i - 1]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if abs(i - j) != 1:
-                continue
-            fi, fj = r.f[i - 1], r.f[j - 1]
-            lhs = (compose(fi, compose(fi, fj))
-                   - compose(fi, compose(fj, fi)).scale(two)
-                   + compose(fj, compose(fi, fi)))
-            decide(rep, f"R6:i={i},j={j}", lhs, Operator.zero(n))
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            decide(rep, f"R7:i={i},j={j}", compose(r.f[i - 1], r.f[j - 1]),
-                   compose(r.f[j - 1], r.f[i - 1]))
+    # quantum Serre (R4 for e, R6 for f) and far commutation (R5, R7)
+    for serre_id, far_id, gens in (("R4", "R5", r.e), ("R6", "R7", r.f)):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if abs(i - j) != 1:
+                    continue
+                gi, gj = gens[i - 1], gens[j - 1]
+                lhs = (compose(gi, compose(gi, gj))
+                       - compose(gi, compose(gj, gi)).scale(two)
+                       + compose(gj, compose(gi, gi)))
+                decide(rep, f"{serre_id}:i={i},j={j}", lhs, Operator.zero(n))
+        for i in range(1, n + 1):
+            for j in range(i + 2, n + 1):
+                decide(rep, f"{far_id}:i={i},j={j}",
+                       compose(gens[i - 1], gens[j - 1]),
+                       compose(gens[j - 1], gens[i - 1]))
     return rep
 
 
@@ -297,22 +287,21 @@ def _classical_action(kind: str, i: int, beta: MultiIndex) -> dict[MultiIndex, i
     """Independent oracle: the classical divided-power action of the q=1
     limits (x_i d_{i+1}, x_{i+1} d_i, x_n * Euler, -d_n, identity)."""
     n = beta.n
-    b = beta.entries
     if kind == "e":
         if i < n:
-            if b[i] == 0:
+            if beta[i] == 0:
                 return {}
-            return {beta.bump(i, 1).bump(i + 1, -1): b[i - 1] + 1}
+            return {beta.bump(i, 1).bump(i + 1, -1): beta[i - 1] + 1}
         total = beta.degree()
         if total == 0:
             return {}
-        return {beta.bump(n, 1): (b[n - 1] + 1) * total}
+        return {beta.bump(n, 1): (beta[n - 1] + 1) * total}
     if kind == "f":
         if i < n:
-            if b[i - 1] == 0:
+            if beta[i - 1] == 0:
                 return {}
-            return {beta.bump(i, -1).bump(i + 1, 1): b[i] + 1}
-        if b[n - 1] == 0:
+            return {beta.bump(i, -1).bump(i + 1, 1): beta[i] + 1}
+        if beta[n - 1] == 0:
             return {}
         return {beta.bump(n, -1): -1}
     if kind in ("K", "Kinv"):
@@ -347,10 +336,8 @@ def classical_degeneration_check(n: int, degree: int,
             classical = _classical_action(kind, i, beta)
             if quantum != classical:
                 fail = {"beta": beta.to_json(),
-                        "lhs": {str(list(b.entries)): v for b, v in sorted(
-                            quantum.items(), key=lambda t: t[0].entries)},
-                        "rhs": {str(list(b.entries)): v for b, v in sorted(
-                            classical.items(), key=lambda t: t[0].entries)}}
+                        "lhs": {str(list(b)): v for b, v in sorted(quantum.items())},
+                        "rhs": {str(list(b)): v for b, v in sorted(classical.items())}}
                 break
         rep.record(rel_id, fail)
     return rep

@@ -11,6 +11,7 @@ produces normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, NotDivisible, RankMismatch
@@ -21,8 +22,7 @@ from .report import VerificationReport
 _CLASS = {"X": 0, "D": 1, "S": 2, "T": 3}
 
 
-@dataclass(frozen=True)
-class GenSymbol:
+class GenSymbol(NamedTuple):
     """One letter of an operator word.
 
     kind "X": left multiplication by x^(eps_i);  "D": the q-derivative d_i;
@@ -189,7 +189,7 @@ def apply_generator(g: GenSymbol, elem: Element) -> Element:
     _check_symbol(g, n)
     out: dict[MultiIndex, LaurentPoly] = {}
     for beta, c in elem.terms.items():
-        hit = _letter(g, beta.entries)
+        hit = _letter(g, beta)
         if hit is None:
             continue
         b, shift, m = hit
@@ -212,7 +212,7 @@ def apply(op: Operator, elem: Element) -> Element:
     out: dict[tuple, LaurentPoly] = {}
     for beta, c in elem.terms.items():
         for word, coeff in op.terms.items():
-            b = beta.entries
+            b = beta
             total = 0
             ms = []
             for g in reversed(word):

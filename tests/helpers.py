@@ -54,7 +54,7 @@ def twisted_leibniz_holds(n, i, alpha, beta, gamma, branch):
         return apply(Operator.from_word(n, [S(i, e)]), w)
 
     weight = alpha - MultiIndex.unit(n, i)
-    theta_op = Operator.from_word(n, [T(tuple(weight.entries))])
+    theta_op = Operator.from_word(n, [T(weight)])
     lhs = xad(mul(u, v))
     rhs = mul(xad(u), sig(-branch, v)) + mul(apply(theta_op, sig(branch, u)), xad(v))
     return lhs == rhs

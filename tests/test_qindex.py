@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from qweyl.errors import RankMismatch
 from qweyl.qindex import MultiIndex, star, theta, theta_exponent
 from qweyl.qring import LaurentPoly, q_power
+from qweyl.weylops import X
 
 vectors = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(MultiIndex)
 
@@ -19,8 +20,8 @@ def test_star_unit_slices():
     beta = MultiIndex((4, 5, 6, 7))
     for i in range(1, 5):
         eps = MultiIndex.unit(4, i)
-        assert star(eps, beta) == sum(beta.entries[: i - 1])
-        assert star(beta, eps) == sum(beta.entries[i:])
+        assert star(eps, beta) == sum(beta[: i - 1])
+        assert star(beta, eps) == sum(beta[i:])
 
 
 def test_theta_examples():
@@ -66,6 +67,21 @@ def test_multiindex_ops():
     assert (a - a) == MultiIndex.zero(3)
     assert MultiIndex((0, 1)) < MultiIndex((1, 0))
     assert list(a) == [1, 2, 0]
+    # a MultiIndex is the tuple of its entries: equal, same hash, same order
+    assert MultiIndex((1, 2)) == (1, 2)
+    assert hash(MultiIndex((1, 2))) == hash((1, 2))
+    coerced = MultiIndex((1.0, 2))
+    assert coerced == (1, 2) and all(type(v) is int for v in coerced)
+    assert sorted([MultiIndex((1, 0)), MultiIndex((0, 2)), MultiIndex((0, 1))]) == [
+        (0, 1), (0, 2), (1, 0)]
+    assert MultiIndex((0, 5)) <= MultiIndex((1, 0)) and not a < a
+    # + and - stay vector operations, not tuple concatenation
+    assert MultiIndex((1, 2)) + MultiIndex((3, 4)) == MultiIndex((4, 6))
+    assert isinstance(MultiIndex((1, 2)) + MultiIndex((3, 4)), MultiIndex)
+    with pytest.raises(RankMismatch):
+        MultiIndex((1, 2)) - MultiIndex((1, 2, 3))
+    # operator letters are tuples of their fields too
+    assert X(1) == ("X", 1, 0, ()) and hash(X(1)) == hash(tuple(X(1)))
 
 
 def test_json_roundtrip():

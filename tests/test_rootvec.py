@@ -192,7 +192,7 @@ def test_prop32_pair_bracket_eigenvalue():
     for beta in monomials_up_to(n, 4):
         out = apply(com, Element.monomial(beta))
         expected = Element.monomial(
-            beta, q_int(beta.entries[s - 1] + beta.degree()))
+            beta, q_int(beta[s - 1] + beta.degree()))
         assert out == expected
 
 
