@@ -14,11 +14,11 @@ from .report import RelationResult, VerificationReport
 from .rootvec import (FormalUq, apply_formal, braid_relation_check,
                       braid_root_vector, closed_form_root_action,
                       default_braid_word, evaluate, lemma34_check, lusztig_T,
-                      positive_roots_in_convex_order, prop32_check, root_op,
-                      symE, symF, symK, theorem33_check)
+                      positive_roots_in_convex_order, prop32_check, symE,
+                      symF, symK, theorem33_check)
 from .uqrealize import (Realization, build_realization, cartan_matrix,
                         classical_degeneration_check, closed_form_action,
-                        lemma21_check, q_euler_eigenvalue, verify_gl,
+                        lemma21_check, q_euler_eigenvalue, root_op, verify_gl,
                         verify_serre)
 from .weylops import (D, GenSymbol, Operator, S, T, X, apply, apply_generator,
                       compose, normalize, op_eq_up_to_degree, q_bracket,

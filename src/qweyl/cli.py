@@ -21,9 +21,9 @@ from .report import RelationResult, VerificationReport
 from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
                       default_braid_word, lemma34_check,
                       positive_roots_in_convex_order, prop32_check,
-                      root_op, theorem33_check)
+                      theorem33_check)
 from .uqrealize import (build_realization, classical_degeneration_check,
-                        lemma21_check, verify_gl, verify_serre)
+                        lemma21_check, root_op, verify_gl, verify_serre)
 from .weylops import (apply, normalize, op_eq_up_to_degree, sweep_actions,
                       verify_weyl_relations)
 
@@ -190,7 +190,7 @@ def _cmd_rootvec(args) -> int:
             "  action table:",
         ]
         for b, v in table:
-            mono = "x^(" + ",".join(str(x) for x in b) + ")"
+            mono = format_element(Element.monomial(b))
             lines.append(f"    {mono} -> {format_element(v)}")
         lines.append(f"  agreement up to degree {cfg.degree}: "
                      f"{'pass' if agreement.equal else 'FAIL'}")

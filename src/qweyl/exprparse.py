@@ -25,8 +25,8 @@ from .errors import (ContextMix, ExprSyntaxError, InvalidIndex, QweylError,
                      RankMismatch)
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_power
-from .rootvec import FormalUq, UqSymbol, root_op
-from .uqrealize import build_realization
+from .rootvec import FormalUq, UqSymbol
+from .uqrealize import build_realization, root_op
 from .weylops import D, GenSymbol, Operator, S, T, X, compose
 
 _TOKEN_RE = re.compile(

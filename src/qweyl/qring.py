@@ -279,9 +279,10 @@ class LinComb:
     equality semantic equality.
 
     Subclasses validate keys in __init__, define the product __mul__ and
-    the key hooks _sort_key, _key_json and _key_from_json.  _key_text and
-    _json_field (the key's name in the JSON form) default to a word of
-    symbols.
+    the key hooks _sort_key, _key_json and _key_from_json: aqn.Element for
+    monomials, and weylops.Words for the words of Operator and FormalUq.
+    _key_text and _json_field (the key's name in the JSON form) default to
+    a word of symbols.
     """
 
     __slots__ = ("n", "terms")

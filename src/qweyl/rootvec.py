@@ -1,6 +1,7 @@
-"""Root-vector operators for every index pair, braid symmetries acting on
-formal expressions in the abstract generators, and the verifiers that match
-braid-built root vectors against their operator realizations.
+"""Closed-form actions of the root operators for every index pair, braid
+symmetries acting on formal expressions in the abstract generators, and the
+verifiers that match braid-built root vectors against their operator
+realizations (root_op, in uqrealize).
 
 Braid symmetries are formal substitutions on words over {E_i, F_i, K^v}; no
 algebra relations are encoded beyond merging adjacent K symbols.  All
@@ -18,12 +19,11 @@ from typing import NamedTuple
 from .aqn import Element
 from .errors import InvalidArgs, InvalidIndex, NotDivisible, RankMismatch
 from .qindex import MultiIndex
-from .qring import LaurentPoly, LinComb, accumulate, exact_div, q_int, q_power
+from .qring import LaurentPoly, accumulate, exact_div, q_int, q_power
 from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, cartan_matrix,
-                        corner_lowering_op, corner_raising_op,
-                        diagonal_sigma_op, q_euler_eigenvalue)
-from .weylops import D, Operator, S, X, apply, compose, decide, q_bracket
+                        diagonal_sigma_op, q_euler_eigenvalue, root_op)
+from .weylops import Operator, Words, apply, compose, decide, q_bracket
 
 
 class UqSymbol(NamedTuple):
@@ -32,6 +32,16 @@ class UqSymbol(NamedTuple):
     kind: str
     i: int = 0
     v: tuple[int, ...] = ()
+
+    def check(self, n: int) -> None:
+        """Raise unless this letter belongs to the alphabet at rank n."""
+        if self.kind == "K":
+            if len(self.v) != n:
+                raise RankMismatch(f"K vector length {len(self.v)}, rank {n}")
+        elif self.kind not in ("E", "F"):
+            raise InvalidArgs(f"unknown symbol kind {self.kind!r}")
+        elif not 1 <= self.i <= n:
+            raise InvalidIndex(f"index {self.i} outside 1..{n}")
 
     def __repr__(self) -> str:
         if self.kind == "K":
@@ -67,11 +77,7 @@ def _canon_word(symbols) -> tuple:
     return tuple(out)
 
 
-def _symbol_key(s: UqSymbol):
-    return ({"E": 0, "F": 1, "K": 2}[s.kind], s.i, s.v)
-
-
-class FormalUq(LinComb):
+class FormalUq(Words):
     """A Laurent-coefficient combination of formal generator words.
 
     n is the number of simple indices; K exponent vectors have that length.
@@ -80,66 +86,8 @@ class FormalUq(LinComb):
     """
 
     __slots__ = ()
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        cleaned: dict[tuple, LaurentPoly] = {}
-        for word, coeff in (terms or {}).items():
-            word = _canon_word(word)
-            for s in word:
-                if s.kind == "K":
-                    if len(s.v) != n:
-                        raise RankMismatch(
-                            f"K vector length {len(s.v)}, rank {n}")
-                elif not 1 <= s.i <= n:
-                    raise InvalidIndex(f"index {s.i} outside 1..{n}")
-            if coeff:
-                accumulate(cleaned, word, coeff)
-        self.terms = cleaned
-
-    @staticmethod
-    def one(n: int) -> "FormalUq":
-        return FormalUq(n, {(): LaurentPoly.one()})
-
-    @staticmethod
-    def from_word(n: int, symbols, coeff: LaurentPoly | int = 1) -> "FormalUq":
-        if isinstance(coeff, int):
-            coeff = LaurentPoly({0: coeff})
-        return FormalUq(n, {tuple(symbols): coeff})
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, FormalUq):
-            return self.scale(other)
-        self._check(other)
-        out: dict[tuple, LaurentPoly] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                accumulate(out, _canon_word(w1 + w2), c1 * c2)
-        return FormalUq._raw(self.n, out)
-
-    @staticmethod
-    def _sort_key(word) -> tuple:
-        return tuple(_symbol_key(s) for s in word)
-
-    @staticmethod
-    def _key_json(word) -> list:
-        return [{"k": "K", "v": list(s.v)} if s.kind == "K"
-                else {"k": s.kind, "i": s.i} for s in word]
-
-    @staticmethod
-    def _key_from_json(obj) -> tuple:
-        word = []
-        for s in obj:
-            if s["k"] == "K":
-                word.append(symK(s["v"]))
-            elif s["k"] in ("E", "F"):
-                word.append(UqSymbol(s["k"], i=s["i"]))
-            else:
-                raise InvalidArgs(f"unknown symbol kind {s['k']!r}")
-        return tuple(word)
+    _symbol = UqSymbol
+    _canon = staticmethod(_canon_word)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +127,7 @@ def lusztig_T(i: int, expr: FormalUq) -> FormalUq:
         raise InvalidIndex(f"index {i} outside 1..{ns}")
     out = FormalUq.zero(ns)
     for word, coeff in expr.terms.items():
-        prod = FormalUq.one(ns)
+        prod = FormalUq.identity(ns)
         for s in word:
             prod = prod * _t_image(i, s, ns)
         out = out + prod.scale(coeff)
@@ -302,21 +250,6 @@ class _Twist:
 
 # ---------------------------------------------------------------------------
 # root operators
-
-def root_op(i: int, j: int, n: int) -> Operator:
-    """The operator realization of the root-vector slot (i, j), indices in
-    1..n+1: x_i d_j sigma_i above the diagonal, sigma_j^-1 x_i d_j below,
-    and the degree-raising/lowering corner words when one index is n+1."""
-    if not (1 <= i <= n + 1 and 1 <= j <= n + 1) or i == j:
-        raise InvalidIndex(f"need distinct indices in 1..{n + 1}, got ({i}, {j})")
-    if j == n + 1:
-        return corner_raising_op(n, i)
-    if i == n + 1:
-        return corner_lowering_op(n, j)
-    if i < j:
-        return Operator.from_word(n, [X(i), D(j), S(i, 1)])
-    return Operator.from_word(n, [S(j, -1), X(i), D(j)])
-
 
 def closed_form_root_action(i: int, j: int, beta: MultiIndex) -> Element:
     """Single-monomial closed forms of root_op(i, j) on x^(beta)."""

@@ -1,7 +1,8 @@
-"""Chevalley generators realized as operator words on the quantum divided
-power algebra in n variables, closed-form action oracles, and the relation
-verifiers for the simple-root presentation (rank n+1 from n variables: the
-last raising operator climbs the degree by one instead of trading it).
+"""Chevalley generators and the root operators of every index pair realized
+as operator words on the quantum divided power algebra in n variables,
+closed-form action oracles, and the relation verifiers for the simple-root
+presentation (rank n+1 from n variables: the last raising operator climbs
+the degree by one instead of trading it).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .aqn import Element, monomials_up_to
-from .errors import InvalidArgs
+from .errors import InvalidArgs, InvalidIndex
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
 from .report import VerificationReport
@@ -66,6 +67,21 @@ def corner_lowering_op(n: int, s: int) -> Operator:
     return Operator.from_word(n, word, -1)
 
 
+def root_op(i: int, j: int, n: int) -> Operator:
+    """The operator realization of the root-vector slot (i, j), indices in
+    1..n+1: x_i d_j sigma_i above the diagonal, sigma_j^-1 x_i d_j below,
+    and the degree-raising/lowering corner words when one index is n+1."""
+    if not (1 <= i <= n + 1 and 1 <= j <= n + 1) or i == j:
+        raise InvalidIndex(f"need distinct indices in 1..{n + 1}, got ({i}, {j})")
+    if j == n + 1:
+        return corner_raising_op(n, i)
+    if i == n + 1:
+        return corner_lowering_op(n, j)
+    if i < j:
+        return Operator.from_word(n, [X(i), D(j), S(i, 1)])
+    return Operator.from_word(n, [S(j, -1), X(i), D(j)])
+
+
 def _k_sigma_vector(n: int, j: int) -> tuple[int, ...]:
     # sigma-exponent vector of the j-th Cartan generator
     if j < n:
@@ -103,25 +119,18 @@ class Realization:
 
 @lru_cache(maxsize=None)
 def build_realization(n: int) -> Realization:
-    """Generator words: e_i = x_i d_{i+1} sigma_i, f_i = sigma_i^-1 x_{i+1} d_i,
+    """Generator words: e_i = root_op(i, i+1), f_i = root_op(i+1, i) and
     K_i = sigma_i sigma_{i+1}^-1 for i < n; the n-th triple raises/lowers the
     total degree via the corner words."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
-    e = []
-    f = []
-    K = []
-    K_inv = []
-    for i in range(1, n):
-        e.append(Operator.from_word(n, [X(i), D(i + 1), S(i, 1)]))
-        f.append(Operator.from_word(n, [S(i, -1), X(i + 1), D(i)]))
-        K.append(diagonal_sigma_op(n, _k_sigma_vector(n, i)))
-        K_inv.append(diagonal_sigma_op(n, [-x for x in _k_sigma_vector(n, i)]))
-    e.append(corner_raising_op(n, n))
-    f.append(corner_lowering_op(n, n))
-    K.append(diagonal_sigma_op(n, _k_sigma_vector(n, n)))
-    K_inv.append(diagonal_sigma_op(n, [-x for x in _k_sigma_vector(n, n)]))
-    return Realization(n, tuple(e), tuple(f), tuple(K), tuple(K_inv))
+    idx = range(1, n + 1)
+    e = tuple(root_op(i, i + 1, n) for i in idx)
+    f = tuple(root_op(i + 1, i, n) for i in idx)
+    K = tuple(diagonal_sigma_op(n, _k_sigma_vector(n, i)) for i in idx)
+    K_inv = tuple(diagonal_sigma_op(n, [-x for x in _k_sigma_vector(n, i)])
+                  for i in idx)
+    return Realization(n, e, f, K, K_inv)
 
 
 def closed_form_action(kind: str, i: int, beta: MultiIndex) -> Element:

@@ -38,6 +38,19 @@ class GenSymbol(NamedTuple):
     def degree_shift(self) -> int:
         return {"X": 1, "D": -1}.get(self.kind, 0)
 
+    def check(self, n: int) -> None:
+        """Raise unless this letter belongs to the alphabet at rank n."""
+        if self.kind in ("X", "D", "S"):
+            if not 1 <= self.i <= n:
+                raise RankMismatch(f"generator index {self.i} outside 1..{n}")
+            if self.kind == "S" and self.e == 0:
+                raise InvalidArgs("sigma exponent must be nonzero")
+        elif self.kind == "T":
+            if len(self.mu) != n:
+                raise RankMismatch(f"Theta weight has length {len(self.mu)}, rank {n}")
+        else:
+            raise InvalidArgs(f"unknown symbol kind {self.kind!r}")
+
     def __repr__(self) -> str:
         if self.kind == "X":
             return f"x{self.i}"
@@ -74,86 +87,89 @@ def _word_key(word):
     return tuple(_symbol_key(g) for g in word)
 
 
-def _check_symbol(g: GenSymbol, n: int) -> None:
-    if g.kind in ("X", "D", "S"):
-        if not 1 <= g.i <= n:
-            raise RankMismatch(f"generator index {g.i} outside 1..{n}")
-    elif g.kind == "T":
-        if len(g.mu) != n:
-            raise RankMismatch(f"Theta weight has length {len(g.mu)}, rank {n}")
-    else:
-        raise InvalidArgs(f"unknown symbol kind {g.kind!r}")
-
-
 def degree_shift(word) -> int:
     return sum(g.degree_shift() for g in word)
 
 
-class Operator(LinComb):
-    """A finite Laurent-coefficient combination of operator words.
+def _letter_json(s) -> dict:
+    # {"k": kind} plus each later field that differs from its default,
+    # in field order, tuples written as lists.
+    out = {"k": s.kind}
+    for field, default in s._field_defaults.items():
+        value = getattr(s, field)
+        if value != default:
+            out[field] = list(value) if isinstance(value, tuple) else value
+    return out
 
-    terms maps a word (tuple of GenSymbol, written left-to-right) to a
-    nonzero coefficient; the empty word is the identity.
+
+def _letter_from_json(symbol, obj: dict):
+    # The inverse of _letter_json: an absent field takes its default.
+    values = []
+    for field, default in symbol._field_defaults.items():
+        value = obj.get(field, default)
+        values.append(tuple(value) if isinstance(value, list) else value)
+    return symbol(obj["k"], *values)
+
+
+class Words(LinComb):
+    """A finite Laurent-coefficient combination of words over one alphabet.
+
+    terms maps a word (tuple of letters, written left-to-right) to a
+    nonzero coefficient; the empty word is the identity.  A subclass names
+    its alphabet in _symbol, a NamedTuple whose first field is the letter's
+    kind and whose check(n) rejects a letter that is invalid at rank n, and
+    may put words in a canonical form with _canon.
     """
 
     __slots__ = ()
+    _symbol: type
+    # A word is its own canonical form and its own sort key; tuple hands a
+    # tuple back unchanged.
+    _canon = _sort_key = tuple
 
     def __init__(self, n: int, terms=None):
         self.n = n
+        canon = self._canon
         cleaned: dict[tuple, LaurentPoly] = {}
         for word, coeff in (terms or {}).items():
-            word = tuple(word)
-            for g in word:
-                _check_symbol(g, n)
+            word = canon(word)
+            for s in word:
+                s.check(n)
             if coeff:
-                cleaned[word] = coeff
+                accumulate(cleaned, word, coeff)
         self.terms = cleaned
 
-    @staticmethod
-    def identity(n: int) -> "Operator":
-        return Operator(n, {(): LaurentPoly.one()})
+    @classmethod
+    def identity(cls, n: int):
+        return cls(n, {(): LaurentPoly.one()})
 
-    @staticmethod
-    def from_word(n: int, symbols, coeff: LaurentPoly | int = 1) -> "Operator":
+    @classmethod
+    def from_word(cls, n: int, symbols, coeff: LaurentPoly | int = 1):
         if isinstance(coeff, int):
             coeff = LaurentPoly({0: coeff})
-        return Operator(n, {tuple(symbols): coeff})
+        return cls(n, {tuple(symbols): coeff})
 
     def __mul__(self, other):
-        if isinstance(other, Operator):
+        if isinstance(other, type(self)):
             return compose(self, other)
         return self.scale(other)
 
-    _sort_key = staticmethod(_word_key)
-
     @staticmethod
     def _key_json(word) -> list:
-        return [_symbol_json(g) for g in word]
+        return [_letter_json(s) for s in word]
 
-    @staticmethod
-    def _key_from_json(obj) -> tuple:
-        return tuple(_symbol_from_json(s) for s in obj)
-
-
-def _symbol_json(g: GenSymbol) -> dict:
-    if g.kind == "S":
-        return {"k": "S", "i": g.i, "e": g.e}
-    if g.kind == "T":
-        return {"k": "T", "mu": list(g.mu)}
-    return {"k": g.kind, "i": g.i}
+    @classmethod
+    def _key_from_json(cls, obj) -> tuple:
+        return tuple(_letter_from_json(cls._symbol, s) for s in obj)
 
 
-def _symbol_from_json(obj: dict) -> GenSymbol:
-    k = obj["k"]
-    if k == "S":
-        return S(obj["i"], obj["e"])
-    if k == "T":
-        return T(obj["mu"])
-    if k == "X":
-        return X(obj["i"])
-    if k == "D":
-        return D(obj["i"])
-    raise InvalidArgs(f"unknown symbol kind {k!r}")
+class Operator(Words):
+    """A combination of operator words over {x_i, d_i, sigma_i^e, Theta(mu)}.
+    Words sort by letter class X < D < S < T, then by the letter's fields."""
+
+    __slots__ = ()
+    _symbol = GenSymbol
+    _sort_key = staticmethod(_word_key)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +202,7 @@ def _letter(g: GenSymbol, b: tuple):
 def apply_generator(g: GenSymbol, elem: Element) -> Element:
     """Act with a single generator on an element (see _letter)."""
     n = elem.n
-    _check_symbol(g, n)
+    g.check(n)
     out: dict[MultiIndex, LaurentPoly] = {}
     for beta, c in elem.terms.items():
         hit = _letter(g, beta)
@@ -231,14 +247,16 @@ def apply(op: Operator, elem: Element) -> Element:
     return Element._raw(elem.n, {MultiIndex(b): c for b, c in out.items()})
 
 
-def compose(a: Operator, b: Operator) -> Operator:
-    """Word concatenation, distributed bilinearly: (a b)(v) = a(b(v))."""
+def compose(a: Words, b: Words) -> Words:
+    """Word concatenation, distributed bilinearly: (a b)(v) = a(b(v)).
+    Each product word is put in a's canonical form."""
     a._check(b)
+    canon = a._canon
     out: dict[tuple, LaurentPoly] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            accumulate(out, w1 + w2, c1 * c2)
-    return Operator._raw(a.n, out)
+            accumulate(out, canon(w1 + w2), c1 * c2)
+    return a._raw(a.n, out)
 
 
 def q_bracket(a: Operator, b: Operator, c: LaurentPoly | int) -> Operator:

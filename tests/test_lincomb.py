@@ -28,7 +28,7 @@ def _formal():
     return (FormalUq.from_word(2, [symK((1, -1)), symE(1)], q_int(2))
             + FormalUq.from_word(2, [symF(2), symE(1)])
             + FormalUq.from_word(2, [symE(2)], -1)
-            + FormalUq.one(2))
+            + FormalUq.identity(2))
 
 
 BUILDERS = {"element": _element, "operator": _operator, "formal": _formal}
@@ -40,7 +40,7 @@ def test_equality_needs_the_exact_type():
         for b in zeros:
             assert (a == b) == (type(a) is type(b))
     assert Element.zero(2) != Element.zero(3)
-    assert Operator.identity(2) != FormalUq.one(2)
+    assert Operator.identity(2) != FormalUq.identity(2)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))

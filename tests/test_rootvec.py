@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -6,8 +7,8 @@ from qweyl import rootvec
 from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs, InvalidIndex, RankMismatch
 from qweyl.qindex import MultiIndex
-from qweyl.qring import q_int, q_power
-from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, _Twist,
+from qweyl.qring import LaurentPoly, q_int, q_power
+from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
                            _expansion_words, apply_formal,
                            braid_relation_check, braid_root_vector,
                            closed_form_root_action, default_braid_word,
@@ -104,13 +105,19 @@ def test_formal_uq_canonical_form():
         FormalUq.from_word(2, [symK((1, 0, 0))])
     with pytest.raises(InvalidIndex):
         FormalUq.from_word(2, [symE(3)])
+    with pytest.raises(InvalidArgs):
+        FormalUq(2, {(UqSymbol("Z", i=1),): LaurentPoly.one()})
 
 
 def test_formal_json_roundtrip():
     expr = lusztig_T(1, E_(2, 2)) + FormalUq.from_word(2, [symK((1, -1))], q_int(2))
-    for e in (expr, -expr, FormalUq.zero(2), FormalUq.one(3)):
+    for e in (expr, -expr, FormalUq.zero(2), FormalUq.identity(3)):
         back = FormalUq.from_json(e.to_json())
         assert back == e and hash(back) == hash(e)
+    pinned = FormalUq.from_word(2, [symK((1, -1)), symE(1)], q_int(2))
+    assert json.dumps(pinned.to_json()) == (
+        '{"n": 2, "terms": [{"word": [{"k": "K", "v": [1, -1]}, {"k": "E", "i": 1}], '
+        '"coeff": {"1": 1, "-1": 1}}]}')
 
 
 def test_evaluate():
@@ -359,4 +366,4 @@ def test_expression_growth_stays_small():
     for p in range(1, 7):
         for sign in "+-":
             expr = braid_root_vector(p, word, sign, 3)
-            assert expr.term_count() < 10_000
+            assert len(expr.terms) < 10_000

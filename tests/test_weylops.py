@@ -10,8 +10,8 @@ from qweyl.errors import InvalidArgs, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_int, q_power
 from qweyl.uqrealize import verify_serre
-from qweyl.weylops import (D, Operator, S, T, X, apply, apply_generator,
-                           compose, degree_shift, normalize,
+from qweyl.weylops import (D, GenSymbol, Operator, S, T, X, apply,
+                           apply_generator, compose, degree_shift, normalize,
                            op_eq_up_to_degree, q_bracket,
                            verify_weyl_relations)
 
@@ -189,6 +189,11 @@ def test_verify_weyl_relations():
 def test_sigma_constructor_rejects_zero():
     with pytest.raises(InvalidArgs):
         S(1, 0)
+    with pytest.raises(InvalidArgs):
+        Operator(1, {(GenSymbol("S", 1, 0),): LaurentPoly.one()})
+    with pytest.raises(InvalidArgs):
+        Operator.from_json({"n": 1, "terms": [
+            {"word": [{"k": "S", "i": 1}], "coeff": {"0": 1}}]})
 
 
 def test_operator_json_roundtrip():
@@ -202,6 +207,8 @@ def test_operator_json_roundtrip():
         assert back == o and hash(back) == hash(o)
     word = obj["terms"][0]["word"]
     assert word[0] == {"k": "X", "i": 1}
+    word = Operator.from_word(2, [S(1, -2), T((1, 0))]).to_json()["terms"][0]["word"]
+    assert word == [{"k": "S", "i": 1, "e": -2}, {"k": "T", "mu": [1, 0]}]
 
 
 @st.composite
