@@ -205,9 +205,9 @@ def _make_parser() -> argparse.ArgumentParser:
                     "quantum divided power algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree_default=6):
+    def common(p):
         p.add_argument("--n", type=int, default=2, help="number of variables")
-        p.add_argument("--degree", type=int, default=degree_default,
+        p.add_argument("--degree", type=int, default=6,
                        help="degree bound for action sweeps")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="also write the report to this file")

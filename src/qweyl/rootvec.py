@@ -23,7 +23,7 @@ from .qring import LaurentPoly, accumulate, exact_div, q_int, q_power
 from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, cartan_matrix,
                         diagonal_sigma_op, q_euler_eigenvalue, root_op)
-from .weylops import Operator, Words, apply, compose, decide, q_bracket
+from .weylops import Operator, Words, apply, decide, q_bracket
 
 
 class UqSymbol(NamedTuple):
@@ -125,51 +125,27 @@ def lusztig_T(i: int, expr: FormalUq) -> FormalUq:
     ns = expr.n
     if not 1 <= i <= ns:
         raise InvalidIndex(f"index {i} outside 1..{ns}")
-    out = FormalUq.zero(ns)
-    for word, coeff in expr.terms.items():
-        prod = FormalUq.identity(ns)
-        for s in word:
-            prod = prod * _t_image(i, s, ns)
-        out = out + prod.scale(coeff)
-    return out
+    return expr.substitute(lambda s: _t_image(i, s, ns), FormalUq.identity(ns))
 
 
 def evaluate(expr: FormalUq, r: Realization) -> Operator:
-    """Substitute the realized operators for the abstract symbols."""
+    """Substitute the realized operators (r.realize) for the abstract symbols."""
     if expr.n != r.n:
         raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
-    total = Operator.zero(r.n)
-    for word, coeff in expr.terms.items():
-        op = Operator.identity(r.n)
-        for s in word:
-            op = compose(op, _realized(s, r))
-        total = total + op.scale(coeff)
-    return total
-
-
-def _realized(s: UqSymbol, r: Realization) -> Operator:
-    if s.kind == "E":
-        return r.e[s.i - 1]
-    if s.kind == "F":
-        return r.f[s.i - 1]
-    return r.K_power(s.v)
+    return expr.substitute(r.realize, Operator.identity(r.n))
 
 
 def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
     """Act with a formal expression without materializing the composed
-    operator: generators are applied one at a time, right to left.  Each
-    distinct symbol is realized once per call."""
+    operator: the realized letters (r.realize) are applied one at a time,
+    right to left."""
     if expr.n != r.n:
         raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
-    ops: dict[UqSymbol, Operator] = {}
     total = Element.zero(elem.n)
     for word, coeff in expr.terms.items():
         cur = elem
         for s in reversed(word):
-            op = ops.get(s)
-            if op is None:
-                op = ops[s] = _realized(s, r)
-            cur = apply(op, cur)
+            cur = apply(r.realize(s), cur)
             if cur.is_zero():
                 break
         total = total + cur.scale(coeff)
@@ -183,7 +159,7 @@ class _Twist:
     Each T_i is a word-multiplicative substitution (_t_image), so
     sigma_t(s) = sum of c * sigma_{t-1}(w) over the terms (w, c) of
     T_{i_t}(s), the letters of w applied right to left, and sigma_0(s) is
-    the realized symbol.  This is an identity of substitutions in the free
+    r.realize(s).  This is an identity of substitutions in the free
     algebra and uses no U_q relation.  Results are memoized on
     (t, symbol, exponent) as dicts of exponent -> coefficient,
     filled only from the monomials actually reached; the memo lives as long
@@ -193,7 +169,6 @@ class _Twist:
     def __init__(self, r: Realization, word):
         self.r = r
         self.word = tuple(int(x) for x in word)
-        self._ops: dict[UqSymbol, Operator] = {}
         self._images: dict[tuple, tuple] = {}
         self._memo: dict[tuple, dict] = {}
 
@@ -217,11 +192,8 @@ class _Twist:
         if hit is not None:
             return hit
         if t == 0:
-            op = self._ops.get(s)
-            if op is None:
-                op = self._ops[s] = _realized(s, self.r)
             mono = Element._raw(self.r.n, {b: LaurentPoly.one()})
-            hit = apply(op, mono).terms
+            hit = apply(self.r.realize(s), mono).terms
         else:
             hit = {}
             for w, c in self._image(self.word[t - 1], s):

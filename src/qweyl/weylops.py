@@ -154,6 +154,18 @@ class Words(LinComb):
             return compose(self, other)
         return self.scale(other)
 
+    def substitute(self, image, one):
+        """Sum of coeff * image(s_1) ... image(s_k) over the terms of self,
+        the products taken in the algebra whose unit is one."""
+        out: dict = {}
+        for word, coeff in self.terms.items():
+            prod = one
+            for s in word:
+                prod = prod * image(s)
+            for key, c in prod.terms.items():
+                accumulate(out, key, c * coeff)
+        return one._raw(one.n, out)
+
     @staticmethod
     def _key_json(word) -> list:
         return [_letter_json(s) for s in word]

@@ -86,7 +86,7 @@ def test_criterion_04_euler_weight_shift_invariance():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 3):
-        rep = lemma21_check(n, max_degree=5, max_shift=3)
+        rep = lemma21_check(n, max_degree=5)
         ok = ok and rep.failed == 0
     _report(4, "twisted Euler weight invariant under lattice shifts",
             ok, time.perf_counter() - t0)

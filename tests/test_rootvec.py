@@ -16,8 +16,8 @@ from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
                            lusztig_T, positive_roots_in_convex_order,
                            prop32_check, root_op, symE, symF, symK,
                            theorem33_check)
-from qweyl.uqrealize import build_realization
-from qweyl.weylops import Operator, apply, op_eq_up_to_degree, q_bracket
+from qweyl.uqrealize import Realization, build_realization
+from qweyl.weylops import Operator, apply, compose, op_eq_up_to_degree, q_bracket
 
 
 def mono(*entries):
@@ -225,7 +225,6 @@ def test_lemma34():
     # T_s(E_s) evaluates to -f_s K_s^-1
     r = build_realization(2)
     te = evaluate(lusztig_T(1, E_(2, 1)), r)
-    from qweyl.weylops import compose
     assert op_eq_up_to_degree(te, -compose(r.f[0], r.K_inv[0]), 5).equal
 
 
@@ -258,15 +257,22 @@ def test_theorem33_reports_unit_ratio_for_other_words():
 def _broken_realization():
     # criterion 11(c): the raising corner word without its Theta factors
     r = build_realization(2)
-    from qweyl.uqrealize import Realization
     stripped = Operator(2, {tuple(g for g in w if g.kind != "T"): c
                             for w, c in r.e[1].terms.items()})
     return Realization(2, (r.e[0], stripped), r.f, r.K, r.K_inv)
 
 
+def _squared_k_realization():
+    # K_1 squared, as in the serre_squared_K golden report
+    r = build_realization(2)
+    return Realization(2, r.e, r.f, (compose(r.K[0], r.K[0]), r.K[1]), r.K_inv)
+
+
 def test_theorem33_broken_realization_fails():
-    rep = theorem33_check(2, 4, realization=_broken_realization())
-    assert rep.failed > 0
+    for broken in (_broken_realization(), _squared_k_realization()):
+        rep = theorem33_check(2, 4, realization=broken)
+        failed = [x for x in rep.relations if x.status == "fail"]
+        assert failed and all(x.counterexample is not None for x in failed)
 
 
 def _reduced_longest_words(n):
@@ -338,6 +344,7 @@ def test_twist_reads_t_image_at_call_time(monkeypatch):
         return orig(i, s, ns)
 
     monkeypatch.setattr(rootvec, "_t_image", bad_image)
+    assert lusztig_T(1, E_(3, 2)) == bad_image(1, symE(2), 3)
     rep = theorem33_check(3, 2)
     monkeypatch.undo()
     failed = [x for x in rep.relations if x.status == "fail"]

@@ -116,8 +116,12 @@ def test_verify_gl():
 
 def test_k_power_matches_literal_composition():
     rng = random.Random(5)
-    for n in (2, 3):
-        r = build_realization(n)
+    # a realization with K_1 squared: K_power must read its own fields
+    r2 = build_realization(2)
+    squared = Realization(2, r2.e, r2.f, (compose(r2.K[0], r2.K[0]), r2.K[1]),
+                          r2.K_inv)
+    for r in (r2, build_realization(3), squared):
+        n = r.n
         for _ in range(10):
             v = [rng.randint(-2, 2) for _ in range(n)]
             direct = r.K_power(v)
@@ -141,9 +145,9 @@ def test_lemma21():
     rhs = q_euler_eigenvalue(MultiIndex((2, 0)))
     assert lhs == rhs == q_int(2)
     for n in (2, 3):
-        rep = lemma21_check(n, 4, 3)
+        rep = lemma21_check(n, 4)
         assert rep.failed == 0
-    assert lemma21_check(1, 4, 3).relations == []
+    assert lemma21_check(1, 4).relations == []
 
 
 def test_classical_degeneration():
