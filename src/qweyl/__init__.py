@@ -6,8 +6,7 @@ relations, the simple-root presentation, and the braid-built root vectors.
 from .aqn import Element, monomials_up_to, mul, mul_monomial
 from .errors import (ContextMix, ExprSyntaxError, InvalidArgs, InvalidIndex,
                      NotDivisible, QweylError, RankMismatch)
-from .exprparse import (format_element, format_formal, format_operator,
-                        parse_element, parse_operator)
+from .exprparse import parse_element, parse_operator
 from .qindex import MultiIndex, star, theta, theta_exponent
 from .qring import LaurentPoly, exact_div, q_binom, q_fact, q_int, q_power
 from .report import RelationResult, VerificationReport

@@ -51,7 +51,7 @@ class Element(LinComb):
 
     @staticmethod
     def _key_text(beta: MultiIndex) -> str:
-        return f"x^{list(beta)}"
+        return "x^(" + ",".join(map(str, beta)) + ")"
 
     _key_json = staticmethod(MultiIndex.to_json)
     _key_from_json = staticmethod(MultiIndex.from_json)

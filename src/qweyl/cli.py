@@ -11,12 +11,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, QweylError
-from .exprparse import (format_element, format_formal, format_operator,
-                        parse_element, parse_operator)
+from .exprparse import parse_element, parse_operator
 from .report import RelationResult, VerificationReport
 from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
                       default_braid_word, lemma34_check,
@@ -27,37 +25,29 @@ from .uqrealize import (build_realization, classical_degeneration_check,
 from .weylops import (apply, normalize, op_eq_up_to_degree, sweep_actions,
                       verify_weyl_relations)
 
-# The relation suites in report order: name -> (least n, runner(cfg)).
+# The relation suites in report order: name -> (least n, runner(args)).
 # "verify all" skips a suite whose least n exceeds --n.
 SUITES = {
-    "weyl": (1, lambda c: verify_weyl_relations(c.n, c.degree)),
-    "serre": (1, lambda c: verify_serre(c.n, c.degree)),
-    "gl": (2, lambda c: verify_gl(c.n, c.degree)),
-    "prop32": (2, lambda c: prop32_check(c.n, c.degree)),
-    "braid": (2, lambda c: braid_relation_check(c.n, c.degree)),
-    "lemma34": (2, lambda c: lemma34_check(c.n, c.degree)),
-    "theorem33": (1, lambda c: theorem33_check(c.n, c.degree, word=c.word)),
-    "lemma21": (1, lambda c: lemma21_check(c.n, max_degree=c.degree)),
-    "classical": (1, lambda c: classical_degeneration_check(c.n, c.degree)),
+    "weyl": (1, lambda a: verify_weyl_relations(a.n, a.degree)),
+    "serre": (1, lambda a: verify_serre(a.n, a.degree)),
+    "gl": (2, lambda a: verify_gl(a.n, a.degree)),
+    "prop32": (2, lambda a: prop32_check(a.n, a.degree)),
+    "braid": (2, lambda a: braid_relation_check(a.n, a.degree)),
+    "lemma34": (2, lambda a: lemma34_check(a.n, a.degree)),
+    "theorem33": (1, lambda a: theorem33_check(a.n, a.degree, word=a.word)),
+    "lemma21": (1, lambda a: lemma21_check(a.n, max_degree=a.degree)),
+    "classical": (1, lambda a: classical_degeneration_check(a.n, a.degree)),
 }
 
 
-@dataclass
-class CliConfig:
-    n: int = 2
-    degree: int = 6
-    fmt: str = "text"
-    out: str | None = None
-    word: tuple[int, ...] | None = None
-
-
-def _build_config(args) -> CliConfig:
+def _check_args(args) -> None:
+    """Validate the parsed arguments in place.  --word becomes an int tuple;
+    rootvec and the theorem33 and all suites read it, other suites refuse it."""
     if args.n < 1:
         raise InvalidArgs("n must be >= 1")
-    degree = getattr(args, "degree", 6)
-    if degree < 0:
+    if args.degree < 0:
         raise InvalidArgs("degree must be >= 0")
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         raise InvalidArgs("threads must be >= 1")
     cap = os.environ.get("QWEYL_THREADS")
     if cap is not None:
@@ -65,94 +55,91 @@ def _build_config(args) -> CliConfig:
             int(cap)
         except ValueError:
             raise InvalidArgs(f"QWEYL_THREADS must be an integer, got {cap!r}")
-    word = None
-    if getattr(args, "word", None):
+    word = getattr(args, "word", None)
+    if word:
         try:
-            word = tuple(int(x) for x in args.word.split(","))
+            word = tuple(int(x) for x in word.split(","))
         except ValueError:
             raise InvalidArgs("--word must be a comma-separated integer list")
-    return CliConfig(n=args.n, degree=degree, fmt=args.format,
-                     out=getattr(args, "out", None), word=word)
+        if getattr(args, "suite", "all") not in ("theorem33", "all"):
+            raise InvalidArgs(f"--word is not used by the {args.suite} suite")
+    args.word = word or None
 
 
-def _emit(cfg: CliConfig, text: str) -> None:
+def _emit(args, text: str) -> None:
     sys.stdout.write(text + "\n")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
 def _cmd_verify(args) -> int:
-    cfg = _build_config(args)
     if args.suite == "all":
         reports = []
         for name, (min_n, runner) in SUITES.items():
-            if cfg.n < min_n:
-                skipped = VerificationReport(name, cfg.n, cfg.degree)
+            if args.n < min_n:
+                skipped = VerificationReport(name, args.n, args.degree)
                 skipped.add(RelationResult(f"suite:{name}", "skipped",
                                            {"reason": f"requires n >= {min_n}"}))
                 reports.append(skipped)
             else:
-                reports.append(runner(cfg))
+                reports.append(runner(args))
     else:
-        reports = [SUITES[args.suite][1](cfg)]
+        reports = [SUITES[args.suite][1](args)]
     failed = sum(r.failed for r in reports)
-    if cfg.fmt == "json":
+    if args.format == "json":
         if len(reports) == 1:
             payload = reports[0].to_json()
         else:
-            payload = {"check": "all", "n": cfg.n, "degree": cfg.degree,
+            payload = {"check": "all", "n": args.n, "degree": args.degree,
                        "suites": [r.to_json() for r in reports],
                        "failed": failed}
-        _emit(cfg, json.dumps(payload))
+        _emit(args, json.dumps(payload))
     else:
         blocks = [r.render_text() for r in reports]
         blocks.append(f"RESULT: {'PASS' if failed == 0 else 'FAIL'}"
                       f" ({failed} failed)")
-        _emit(cfg, "\n".join(blocks))
+        _emit(args, "\n".join(blocks))
     return 0 if failed == 0 else 1
 
 
 def _cmd_act(args) -> int:
-    cfg = _build_config(args)
-    op = parse_operator(args.op, cfg.n)
-    elem = parse_element(args.on, cfg.n)
+    op = parse_operator(args.op, args.n)
+    elem = parse_element(args.on, args.n)
     result = apply(op, elem)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(result.to_json()))
+    if args.format == "json":
+        _emit(args, json.dumps(result.to_json()))
     else:
-        _emit(cfg, format_element(result) + "\n" + json.dumps(result.to_json()))
+        _emit(args, f"{result}\n" + json.dumps(result.to_json()))
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    cfg = _build_config(args)
-    op = parse_operator(args.op, cfg.n)
+    op = parse_operator(args.op, args.n)
     nf = normalize(op)
     lines = []
-    if cfg.fmt == "json":
+    if args.format == "json":
         lines.append(json.dumps(nf.to_json()))
     else:
-        lines.append(format_operator(nf))
+        lines.append(str(nf))
         lines.append(json.dumps(nf.to_json()))
     code = 0
     if args.check:
-        res = op_eq_up_to_degree(op, nf, cfg.degree)
+        res = op_eq_up_to_degree(op, nf, args.degree)
         if res.equal:
-            lines.append(f"check: action equality up to degree {cfg.degree} confirmed")
+            lines.append(f"check: action equality up to degree {args.degree} confirmed")
         else:
             lines.append(f"check FAILED at beta={list(res.beta)}")
             code = 1
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return code
 
 
 def _cmd_rootvec(args) -> int:
-    cfg = _build_config(args)
-    i, j, n = args.i, args.j, cfg.n
+    i, j, n = args.i, args.j, args.n
     if i == j or not (1 <= i <= n + 1 and 1 <= j <= n + 1):
         raise InvalidArgs(f"need distinct indices in 1..{n + 1}, got i={i}, j={j}")
-    word = cfg.word if cfg.word is not None else default_braid_word(n)
+    word = args.word or default_braid_word(n)
     roots = positive_roots_in_convex_order(word, n)
     key = (i, j) if i < j else (j, i)
     if key not in roots:
@@ -164,14 +151,14 @@ def _cmd_rootvec(args) -> int:
     expr = braid_root_vector(p, word, sign, n)
     twist = _Twist(build_realization(n), word)
     agreement = sweep_actions(twist.root_vector(p, sign),
-                              lambda m: apply(op, m), n, cfg.degree)
+                              lambda m: apply(op, m), n, args.degree)
     table = []
-    for beta in monomials_up_to(n, min(cfg.degree, 3)):
+    for beta in monomials_up_to(n, min(args.degree, 3)):
         value = apply(op, Element.monomial(beta))
         table.append((beta, value))
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
-            "n": n, "i": i, "j": j, "degree": cfg.degree,
+            "n": n, "i": i, "j": j, "degree": args.degree,
             "word": list(word),
             "root_op": op.to_json(),
             "normal_form": nf.to_json(),
@@ -180,21 +167,20 @@ def _cmd_rootvec(args) -> int:
                       for b, v in table],
             "agreement": bool(agreement.equal),
         }
-        _emit(cfg, json.dumps(payload))
+        _emit(args, json.dumps(payload))
     else:
         lines = [
             f"root operator ({i},{j}) at n={n}:",
-            f"  word form:   {format_operator(op)}",
-            f"  normal form: {format_operator(nf)}",
-            f"  braid form:  {format_formal(expr)} (prefix {p} of word {list(word)})",
+            f"  word form:   {op}",
+            f"  normal form: {nf}",
+            f"  braid form:  {expr} (prefix {p} of word {list(word)})",
             "  action table:",
         ]
         for b, v in table:
-            mono = format_element(Element.monomial(b))
-            lines.append(f"    {mono} -> {format_element(v)}")
-        lines.append(f"  agreement up to degree {cfg.degree}: "
+            lines.append(f"    {Element.monomial(b)} -> {v}")
+        lines.append(f"  agreement up to degree {args.degree}: "
                      f"{'pass' if agreement.equal else 'FAIL'}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if agreement.equal else 1
 
 
@@ -251,6 +237,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_args(args)
         return args.func(args)
     except QweylError as exc:
         print(f"error: {exc}", file=sys.stderr)

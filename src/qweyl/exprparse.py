@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive):
 
 Indices are 1-based.  x/d/s/t atoms and the named generator atoms e/f/K
 live in operator context; x^(...) monomials live in element context; q
-powers and integers are scalars valid in both.  Printing any parsed value
-and re-parsing it reproduces the value.
+powers and integers are scalars valid in both.  This module only parses:
+str() of an Element or Operator prints this language, and re-parsing the
+printed text reproduces the value.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .aqn import Element, mul
 from .errors import (ContextMix, ExprSyntaxError, InvalidIndex, QweylError,
                      RankMismatch)
 from .qindex import MultiIndex
-from .qring import LaurentPoly, q_power
-from .rootvec import FormalUq, UqSymbol
+from .qring import q_power
 from .uqrealize import build_realization, root_op
-from .weylops import D, GenSymbol, Operator, S, T, X, compose
+from .weylops import D, Operator, S, T, X, compose
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -224,62 +224,3 @@ def parse_element(src: str, n: int) -> Element:
     return _Parser(src, Element.unit(n), mul,
                    lambda kind, text: _element_atom(kind, text, n)).parse()
 
-
-# printing --------------------------------------------------------------------
-
-def _coeff_prefix(c: LaurentPoly) -> tuple[str, str]:
-    """Split a coefficient into (sign, printable prefix ending in a space,
-    or '' when the coefficient is 1)."""
-    if len(c.terms) == 1:
-        ((k, v),) = c.terms.items()
-        sign = "-" if v < 0 else "+"
-        body = str(LaurentPoly({k: abs(v)}))
-        return sign, "" if body == "1" else body + " "
-    return "+", f"({c}) "
-
-
-def _symbol_text(g: GenSymbol) -> str:
-    if g.kind == "X":
-        return f"x{g.i}"
-    if g.kind == "D":
-        return f"d{g.i}"
-    if g.kind == "S":
-        unit = f"s{g.i}" if g.e > 0 else f"s{g.i}^-1"
-        return " ".join([unit] * abs(g.e))
-    return "t(" + ",".join(str(v) for v in g.mu) + ")"
-
-
-def _uq_symbol_text(s: UqSymbol) -> str:
-    if s.kind == "K":
-        return "K(" + ",".join(str(v) for v in s.v) + ")"
-    return f"{s.kind}{s.i}"
-
-
-def _format_terms(value, key_text) -> str:
-    """Print the terms of a combination in order: sign, coefficient prefix
-    and key_text(key), or the bare coefficient when key_text gives ''."""
-    out = []
-    for t, (key, c) in enumerate(value.sorted_terms()):
-        sign, prefix = _coeff_prefix(c)
-        text = key_text(key)
-        body = prefix + text if text else prefix.strip() or "1"
-        if t == 0:
-            out.append(body if sign == "+" else "-" + body)
-        else:
-            out.append((" + " if sign == "+" else " - ") + body)
-    return "".join(out) or "0"
-
-
-def format_element(e: Element) -> str:
-    return _format_terms(
-        e, lambda beta: "x^(" + ",".join(str(v) for v in beta) + ")")
-
-
-def format_operator(op: Operator) -> str:
-    return _format_terms(op, lambda word: " ".join(map(_symbol_text, word)))
-
-
-def format_formal(expr: FormalUq) -> str:
-    """Display form of a formal expression (not re-parseable: E/F/K words
-    are abstract generators, not operator atoms)."""
-    return _format_terms(expr, lambda word: " ".join(map(_uq_symbol_text, word)))

@@ -273,6 +273,17 @@ def accumulate(out: dict, key, coeff) -> None:
         out.pop(key, None)
 
 
+def _coeff_prefix(c: LaurentPoly) -> tuple[str, str]:
+    """Split a coefficient into (sign, printable prefix ending in a space,
+    or '' when the coefficient is 1)."""
+    if len(c.terms) == 1:
+        ((k, v),) = c.terms.items()
+        sign = "-" if v < 0 else "+"
+        body = str(LaurentPoly({k: abs(v)}))
+        return sign, "" if body == "1" else body + " "
+    return "+", f"({c}) "
+
+
 class LinComb:
     """A finite combination of hashable keys with nonzero LaurentPoly
     coefficients, at a fixed rank n; the canonical form makes structural
@@ -342,15 +353,31 @@ class LinComb:
 
     @staticmethod
     def _key_text(word) -> str:
-        return " ".join(map(repr, word)) if word else "1"
+        return " ".join(map(str, word))
+
+    def __str__(self) -> str:
+        """The expression-language text: the terms in order, each a sign, a
+        coefficient prefix and _key_text(key), or the bare coefficient when
+        the key's text is empty.
+
+        >>> from qweyl.exprparse import parse_operator
+        >>> from qweyl.weylops import normalize
+        >>> print(normalize(parse_operator("d1 x1", 1)))
+        q x1 d1 + s1^-1
+        """
+        out = []
+        for t, (key, c) in enumerate(self.sorted_terms()):
+            sign, prefix = _coeff_prefix(c)
+            text = self._key_text(key)
+            body = prefix + text if text else prefix.strip() or "1"
+            if t == 0:
+                out.append(body if sign == "+" else "-" + body)
+            else:
+                out.append((" + " if sign == "+" else " - ") + body)
+        return "".join(out) or "0"
 
     def __repr__(self) -> str:
-        name = type(self).__name__
-        if not self.terms:
-            return f"{name}(0)"
-        body = " + ".join(f"({c}) {self._key_text(k)}"
-                          for k, c in self.sorted_terms())
-        return f"{name}({body})"
+        return f"{type(self).__name__}({self})"
 
     def to_json(self) -> dict:
         field = self._json_field

@@ -45,7 +45,7 @@ class UqSymbol(NamedTuple):
 
     def __repr__(self) -> str:
         if self.kind == "K":
-            return f"K{list(self.v)}"
+            return "K(" + ",".join(map(str, self.v)) + ")"
         return f"{self.kind}{self.i}"
 
 
@@ -82,7 +82,9 @@ class FormalUq(Words):
 
     n is the number of simple indices; K exponent vectors have that length.
     Adjacent K symbols merge and K^0 disappears, which is the only rewriting
-    done at this level.
+    done at this level.  Its text is display-only: the expression language
+    reads no E/F/K word back, since those letters are abstract generators
+    and not operator atoms.
     """
 
     __slots__ = ()

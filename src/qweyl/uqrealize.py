@@ -331,16 +331,14 @@ def _classical_action(kind: str, i: int, beta: MultiIndex) -> dict[MultiIndex, i
     raise InvalidArgs(f"unknown generator kind {kind!r}")
 
 
-def classical_degeneration_check(n: int, degree: int,
-                                 realization: Realization | None = None
-                                 ) -> VerificationReport:
+def classical_degeneration_check(n: int, degree: int) -> VerificationReport:
     """Specializing every action coefficient at q = 1 must reproduce the
     classical differential-operator realization on divided powers.
     It compares integer values at q = 1 against an oracle, not two actions
     over Z[q, q^-1], so it records its own counterexample, not through decide."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
-    r = realization if realization is not None else build_realization(n)
+    r = build_realization(n)
     rep = VerificationReport("classical", n, degree)
     gens = []
     for i in range(1, n + 1):

@@ -57,8 +57,9 @@ class GenSymbol(NamedTuple):
         if self.kind == "D":
             return f"d{self.i}"
         if self.kind == "S":
-            return f"s{self.i}^{self.e}" if self.e != 1 else f"s{self.i}"
-        return f"t{list(self.mu)}"
+            unit = f"s{self.i}" if self.e > 0 else f"s{self.i}^-1"
+            return " ".join([unit] * abs(self.e))
+        return "t(" + ",".join(map(str, self.mu)) + ")"
 
 
 def X(i: int) -> GenSymbol:

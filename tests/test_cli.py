@@ -44,6 +44,9 @@ def test_config_errors(capsys):
     code, _, err = run(capsys, ["verify", "theorem33", "--n", "2",
                                 "--word", "1,2"])
     assert code == 2
+    code, _, err = run(capsys, ["verify", "serre", "--n", "2", "--word", "1,2"])
+    assert code == 2
+    assert "--word" in err
 
 
 def test_act_examples(capsys):

@@ -6,8 +6,7 @@ import pytest
 from qweyl.aqn import Element
 from qweyl.errors import (ContextMix, ExprSyntaxError, InvalidIndex,
                           QweylError, RankMismatch)
-from qweyl.exprparse import (format_element, format_operator, parse_element,
-                             parse_operator)
+from qweyl.exprparse import parse_element, parse_operator
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_int, q_power
 from qweyl.rootvec import root_op
@@ -117,19 +116,19 @@ def test_operator_roundtrip():
     for _ in range(60):
         n = rng.randint(1, 3)
         op = random_operator(rng, n)
-        printed = format_operator(op)
+        printed = str(op)
         assert parse_operator(printed, n) == op
 
 
 def test_normal_form_printing():
     nf = normalize(parse_operator("d1 x1", 1))
-    assert format_operator(nf) == "q x1 d1 + s1^-1"
-    assert parse_operator(format_operator(nf), 1) == nf
+    assert str(nf) == "q x1 d1 + s1^-1"
+    assert parse_operator(str(nf), 1) == nf
     # aggregated sigma powers print as repeated atoms
     agg = normalize(parse_operator("s1 s1", 1))
-    assert format_operator(agg) == "s1 s1"
+    assert str(agg) == "s1 s1"
     assert parse_operator("s1 s1", 1) != agg  # word differs before normalize
-    assert normalize(parse_operator(format_operator(agg), 1)) == agg
+    assert normalize(parse_operator(str(agg), 1)) == agg
 
 
 def test_element_roundtrip():
@@ -144,8 +143,8 @@ def test_element_roundtrip():
             if coeff:
                 terms[beta] = coeff
         e = Element(n, terms)
-        assert parse_element(format_element(e), n) == e
-    assert format_element(Element.zero(2)) == "0"
+        assert parse_element(str(e), n) == e
+    assert str(Element.zero(2)) == "0"
     assert parse_element("0", 2) == Element.zero(2)
 
 

@@ -1,6 +1,6 @@
 """The contract Element, Operator and FormalUq share as linear combinations:
-equality needs the exact type, equal values hash alike, and sorted_terms
-keeps its documented order."""
+equality needs the exact type, equal values hash alike, sorted_terms keeps
+its documented order, and str/repr print the expression language."""
 
 import pytest
 
@@ -63,6 +63,21 @@ def test_sorted_terms_order():
     assert [tuple(b) for b, _ in _element().sorted_terms()] == [
         (0, 0), (0, 2), (1, 0)]
     assert [repr(list(w)) for w, _ in _operator().sorted_terms()] == [
-        "[]", "[x1, d2, s1^-1]", "[x2, d1]", "[t[1, 0]]"]
+        "[]", "[x1, d2, s1^-1]", "[x2, d1]", "[t(1,0)]"]
     assert [repr(list(w)) for w, _ in _formal().sorted_terms()] == [
-        "[]", "[E2]", "[F2, E1]", "[K[1, -1], E1]"]
+        "[]", "[E2]", "[F2, E1]", "[K(1,-1), E1]"]
+
+
+TEXT = {
+    "element": "-x^(0,0) + (q^2+1+q^-2) x^(0,2) + q^2 x^(1,0)",
+    "operator": "1 + 2 x1 d2 s1^-1 + q x2 d1 + t(1,0)",
+    "formal": "1 - E2 + F2 E1 + (q+q^-1) K(1,-1) E1",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_str_and_repr(kind):
+    a = BUILDERS[kind]()
+    assert str(a) == TEXT[kind]
+    assert repr(a) == f"{type(a).__name__}({TEXT[kind]})"
+    assert str(type(a).zero(a.n)) == "0"
