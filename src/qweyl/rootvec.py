@@ -5,8 +5,9 @@ realizations (root_op, in uqrealize).
 
 Braid symmetries are formal substitutions on words over {E_i, F_i, K^v}; no
 algebra relations are encoded beyond merging adjacent K symbols.  All
-semantic claims are settled by sweeping actions on monomials.  The braid
-checks act with rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time
+semantic claims are settled by weylops.decide: operator sides by their
+q-difference forms, twisted sides by sweeping actions on monomials.  The
+braid checks act with rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time
 (_Twist), so the formal words of braid_root_vector are never expanded on
 their path; apply_formal of the expanded expression stays the reference the
 tests compare the twist against.

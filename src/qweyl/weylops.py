@@ -2,15 +2,22 @@
 the quantum divided power algebra.
 
 Words act right-to-left (the rightmost symbol is applied first), matching the
-usual composition order x_i d_{i+1} sigma_i.  Equality of operators is decided
-by comparing actions on all basis monomials up to a degree bound; that action
-oracle is the authority everywhere, including for the rewriting system that
-produces normal forms.
+usual composition order x_i d_{i+1} sigma_i.  Every letter formula lives in
+_letter, and the action it defines is the authority: the sweep compares two
+actions on all basis monomials up to a degree bound, and the symbolic decider
+compares their q-difference forms, fitted to _letter, on every monomial of
+every degree.  decide skips the sweep only when the forms agree and each
+fitted letter matches _letter on every exponent that sweep would reach, so a
+skipped sweep is one that would have passed; a failing relation is always
+reported by the sweep.  The rewriting system that produces normal forms is
+checked against the same action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .aqn import Element, monomials_up_to
@@ -428,18 +435,201 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
     return sweep_actions(_action(a), _action(b, den), a.n, degree)
 
 
+# ---------------------------------------------------------------------------
+# symbolic equality: q-difference normal forms
+#
+# Write Q_k = q^(b_k).  A letter sends x^(b) to q^(s0 + s.b) [m0 + m.b]
+# x^(b + delta), so coeff * word sends x^(beta) to N(q, Q) / (q - q^-1)^k
+# times x^(beta + delta), N a Laurent polynomial in q and the Q_k, and an
+# operator is a finite map delta -> (k, N): its form.  Let the letters act on
+# all of Z^n by the same formulas.  When every step moves a coordinate by at
+# most one and a letter raising b_j carries a multiple of [b_j + 1], no term
+# climbs back into N^n (from b_j = -1 it is multiplied by [0] = 0), so the
+# action on monomials is the lattice action with the terms outside N^n
+# dropped.  A nonzero N does not vanish at Q = q^beta on a whole translated
+# orthant, so two operators act equally on every monomial of every degree iff
+# their forms are equal.
+
+_DEN = q_power(1) - q_power(-1)
+
+
+class _LetterForm(NamedTuple):
+    """A letter fitted as x^(b) -> q^(s0 + s.b) [m0 + m.b] x^(b + delta)."""
+
+    delta: tuple
+    s0: int
+    s: tuple
+    m0: int
+    m: tuple
+
+    def predict(self, b: tuple):
+        """What _letter returns at b if this fit holds there."""
+        out = tuple(map(add, b, self.delta))
+        if min(out) < 0:
+            return None
+        return (out, self.s0 + sum(map(mul, self.s, b)),
+                self.m0 + sum(map(mul, self.m, b)))
+
+
+@lru_cache(maxsize=None)
+def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
+    """g's form fitted to the letter function at b = (2,...,2) and b + eps_j.
+
+    None unless the probes show one translation delta with entries in
+    {-1, 0, 1}, at most one of them +1, and, for that raised coordinate j,
+    m0 + m.b = c (b_j + 1) with c nonzero: the conditions under which forms
+    decide the action on monomials (see above)."""
+    base = (2,) * n
+    probes = [base] + [base[:j] + (3,) + base[j + 1:] for j in range(n)]
+    hits = [letter(g, b) for b in probes]
+    if None in hits:
+        return None
+    deltas = {tuple(map(sub, h[0], b)) for h, b in zip(hits, probes)}
+    if len(deltas) != 1:
+        return None
+    (delta,) = deltas
+    _, s0, m0 = hits[0]
+    s = tuple(h[1] - s0 for h in hits[1:])
+    m = tuple(h[2] - m0 for h in hits[1:])
+    form = _LetterForm(delta, s0 - 2 * sum(s), s, m0 - 2 * sum(m), m)
+    raised = [j for j, d in enumerate(delta) if d > 0]
+    if any(abs(d) > 1 for d in delta) or len(raised) > 1:
+        return None
+    if raised:
+        c = m[raised[0]]
+        if c == 0 or form.m0 != c or sum(map(abs, m)) != abs(c):
+            return None
+    return form
+
+
+def _exponents_of_degree(n: int, degree: int) -> list[tuple]:
+    tuples = [()]
+    for _ in range(n - 1):
+        tuples = [t + (v,) for t in tuples for v in range(degree + 1 - sum(t))]
+    return [t + (degree - sum(t),) for t in tuples]
+
+
+@lru_cache(maxsize=None)
+def _agrees(letter, g: GenSymbol, n: int, degree: int) -> bool:
+    """letter(g, b) is what g's fit predicts at every b >= 0 with
+    |b| <= degree.  Checked one degree at a time, so a larger box pays only
+    for its new layers."""
+    if degree < 0:
+        return True
+    if not _agrees(letter, g, n, degree - 1):
+        return False
+    form = _fit(letter, g, n)
+    return all(letter(g, b) == form.predict(b)
+               for b in _exponents_of_degree(n, degree))
+
+
+def _fits_hold(sides, n: int, degree: int) -> bool:
+    """Every letter of the Operator sides matches its fit on every exponent
+    a sweep up to degree hands it.  A letter sees beta + (the shifts of the
+    letters to its right), so its exponents have degree at most degree plus
+    their sum; a word killed earlier hands it nothing."""
+    letter = _letter
+    need: dict[GenSymbol, int] = {}
+    for op in sides:
+        for word in op.terms:
+            top = degree
+            for g in reversed(word):
+                form = _fit(letter, g, n)
+                if form is None:
+                    return False
+                need[g] = max(need.get(g, -1), top)
+                top += sum(form.delta)
+    return all(_agrees(letter, g, n, top) for g, top in need.items())
+
+
+def _word_form(word, coeff: LaurentPoly, n: int):
+    """(delta, k, N) of coeff * word, or None when a letter has no fit."""
+    letter = _letter
+    delta = (0,) * n
+    k = 0
+    num = {delta: coeff}  # Q-exponent -> Laurent polynomial in q
+    for g in reversed(word):
+        form = _fit(letter, g, n)
+        if form is None:
+            return None
+        # the letter's factor at b = beta + delta, as a polynomial in Q
+        a = form.s0 + sum(map(mul, form.s, delta))
+        num = {tuple(map(add, Q, form.s)): c.shift(a) for Q, c in num.items()}
+        if any(form.m):
+            a = form.m0 + sum(map(mul, form.m, delta))
+            out: dict[tuple, LaurentPoly] = {}
+            for Q, c in num.items():
+                accumulate(out, tuple(map(add, Q, form.m)), c.shift(a))
+                accumulate(out, tuple(map(sub, Q, form.m)), -c.shift(-a))
+            num = out
+            k += 1
+        elif form.m0 != 1:
+            num = {Q: c * q_int(form.m0) for Q, c in num.items()}
+        delta = tuple(map(add, delta, form.delta))
+    return delta, k, num
+
+
+def _difference(a: Operator, b: Operator, den: LaurentPoly | None = None):
+    """The form of den * a - b as {delta: N}, every N over one common power
+    of q - q^-1 and zero entries dropped, or None when a letter has no fit.
+    Empty iff a = b / den on every monomial of every degree."""
+    a._check(b)
+    groups: dict[tuple, dict] = {}  # (delta, k) -> N
+    for op, scale in ((a, LaurentPoly.one() if den is None else den), (b, -1)):
+        for word, coeff in op.terms.items():
+            form = _word_form(word, coeff * scale, a.n)
+            if form is None:
+                return None
+            delta, k, num = form
+            total = groups.setdefault((delta, k), {})
+            for Q, c in num.items():
+                accumulate(total, Q, c)
+    top = max((k for _, k in groups), default=0)
+    out: dict[tuple, dict] = {}
+    for (delta, k), num in groups.items():
+        total = out.setdefault(delta, {})
+        lift = _DEN ** (top - k)
+        for Q, c in num.items():
+            accumulate(total, Q, c * lift)
+    return {delta: num for delta, num in out.items() if num}
+
+
+def symbolic_equal(a: Operator, b: Operator, den: LaurentPoly | None = None
+                   ) -> bool | None:
+    """Whether a = b / den on every monomial of every degree, by comparing
+    q-difference forms of the letters fitted to _letter at call time.  None
+    when some letter's fit cannot be trusted (see _fit).  The fit is only
+    probed at a few exponents; decide checks it on the sweep's own grid
+    before it skips a sweep."""
+    diff = _difference(a, b, den)
+    return None if diff is None else not diff
+
+
 def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
            den: LaurentPoly | None = None, parts=()) -> OpEqResult:
     """Decide the relation lhs = rhs / den and then each (lhs, rhs, den) of
     parts, on every monomial of degree <= rep.degree, in order.  A side is
     an Operator or a callable Element -> Element.  Records the first failing
     part's counterexample under rel_id, or a pass, and returns that part's
-    result (the last one when all pass)."""
-    for a, b, d in ((lhs, rhs, den), *parts):
-        # n and degree stay positional: perfbench/tracer.py reads args 2 and 3
-        res = sweep_actions(_action(a), _action(b, d), rep.n, rep.degree)
-        if not res.equal:
-            break
+    result (the last one when all pass).
+
+    When every side is an Operator, every part is symbolic_equal and every
+    letter matches its fit on the exponents the sweep would reach, the
+    relation holds on every monomial of every degree and is recorded as a
+    pass without a sweep.  Otherwise the sweep decides, so a failing report,
+    its counterexample and its ratio come from the sweep alone."""
+    checks = ((lhs, rhs, den), *parts)
+    sides = [s for a, b, _ in checks for s in (a, b)]
+    if (all(isinstance(s, Operator) for s in sides)
+            and all(symbolic_equal(a, b, d) for a, b, d in checks)
+            and _fits_hold(sides, rep.n, rep.degree)):
+        res = OpEqResult(True)
+    else:
+        for a, b, d in checks:
+            # n and degree stay positional: perfbench/tracer.py reads args 2, 3
+            res = sweep_actions(_action(a), _action(b, d), rep.n, rep.degree)
+            if not res.equal:
+                break
     rep.record(rel_id, res.to_counterexample())
     return res
 
@@ -459,8 +649,8 @@ def verify_weyl_relations(n: int, degree: int) -> VerificationReport:
     """Check every defining relation of the operator algebra as an action
     identity up to the degree bound.
 
-    Both sides of each relation are run through normalize first, so the
-    sweep certifies the rewriting table together with the generator actions.
+    Both sides of each relation are run through normalize first, so decide
+    certifies the rewriting table together with the generator actions.
     """
     if n < 1:
         raise InvalidArgs("n must be >= 1")
