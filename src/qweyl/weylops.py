@@ -614,10 +614,11 @@ def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
     result (the last one when all pass).
 
     When every side is an Operator, every part is symbolic_equal and every
-    letter matches its fit on the exponents the sweep would reach, the
-    relation holds on every monomial of every degree and is recorded as a
-    pass without a sweep.  Otherwise the sweep decides, so a failing report,
-    its counterexample and its ratio come from the sweep alone."""
+    letter matches its fit on the exponents the sweep would reach, the sweep
+    would pass, so the pass is recorded without it; with the letters of
+    _letter the relation then holds on every monomial of every degree.
+    Otherwise the sweep decides, so a failing report, its counterexample and
+    its ratio come from the sweep alone."""
     checks = ((lhs, rhs, den), *parts)
     sides = [s for a, b, _ in checks for s in (a, b)]
     if (all(isinstance(s, Operator) for s in sides)

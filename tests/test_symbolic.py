@@ -46,7 +46,8 @@ def operator_pairs(draw):
     equal only after rewriting; "perturbed": b is that plus one more word;
     "other": b is unrelated; "den": a = u (d_i x_i) w and b is u (q s_i -
     q^-1 s_i^-1) w with den = q - q^-1, as in dx-closed; "den-faulted": b
-    gains the identity word."""
+    gains one more word.  A single word never acts as zero, so "perturbed"
+    and "den-faulted" pairs always differ."""
     n = draw(st.integers(1, 2))
     index = st.integers(1, n)
     letter = st.one_of(
@@ -73,11 +74,11 @@ def operator_pairs(draw):
     w = Operator.from_word(n, draw(word))
     closed = (Operator.from_word(n, [S(i, 1)], q)
               - Operator.from_word(n, [S(i, -1)], qinv))
-    if kind == "den-faulted":
-        closed = closed + Operator.identity(n)
     dx = Operator.from_word(n, [D(i), X(i)])
-    return (kind, compose(a, compose(dx, w)), compose(a, compose(closed, w)),
-            q - qinv)
+    b = compose(a, compose(closed, w))
+    if kind == "den-faulted":
+        b = b + Operator.from_word(n, draw(word))
+    return kind, compose(a, compose(dx, w)), b, q - qinv
 
 
 @settings(max_examples=120, deadline=None)
@@ -136,24 +137,30 @@ def test_fit_is_checked_on_the_sweep_grid(monkeypatch, suite):
     assert SUITES[suite](1, d).to_json() == rep
 
 
-def test_no_fit_for_a_letter_that_climbs_back_into_the_orthant(monkeypatch):
-    # With x_1 carrying [b_1 + 2], x_1 d_1 and [b_1 + 1] have equal forms,
-    # but d_1 kills x^(0) first: the lattice term from b_1 = -1 climbs back
-    # with a nonzero factor, so the forms must not decide this relation.
+@pytest.mark.parametrize("kind,c,verdict", [("X", 1, None), ("D", 0, False)])
+def test_patched_q_integer_reaches_the_verdict(monkeypatch, kind, c, verdict):
+    # The letter's q-integer argument grows by one, and x_1 d_1 is compared
+    # with (q^c s_1 - q^-c s_1^-1) / (q - q^-1), which is [b_1 + c].  x_1
+    # then carries [b_1 + 2] and gets no fit: x_1 d_1 and [b_1 + 1] would
+    # have equal forms, but d_1 kills x^(0) first, and the lattice term from
+    # b_1 = -1 would climb back with a nonzero factor.  d_1 then carries a
+    # constant [2], which its fit keeps: x_1 d_1 acts as [2] [b_1].
     orig = weylops._letter
 
     def bad_letter(g, b):
         hit = orig(g, b)
-        return (hit[0], hit[1], hit[2] + 1) if g.kind == "X" else hit
+        if g.kind != kind or hit is None:
+            return hit
+        return hit[0], hit[1], hit[2] + 1
 
     monkeypatch.setattr(weylops, "_letter", bad_letter)
-    q, qinv = q_power(1), q_power(-1)
+    den = q_power(1) - q_power(-1)
     xd = Operator.from_word(1, [X(1), D(1)])
-    closed = (Operator.from_word(1, [S(1, 1)], q)
-              - Operator.from_word(1, [S(1, -1)], qinv))
-    assert symbolic_equal(xd, closed, q - qinv) is None
+    closed = (Operator.from_word(1, [S(1, 1)], q_power(c))
+              - Operator.from_word(1, [S(1, -1)], q_power(-c)))
+    assert symbolic_equal(xd, closed, den) is verdict
     rep = VerificationReport("probe", 1, 2)
-    assert not weylops.decide(rep, "xd", xd, closed, q - qinv)
+    assert not weylops.decide(rep, "xd", xd, closed, den)
     assert rep.failed == 1
 
 
