@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, QweylError
@@ -184,7 +185,10 @@ def _cmd_rootvec(args) -> int:
     return 0 if agreement.equal else 1
 
 
+@lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    # Built on the first main call and reused: parse_args keeps no state
+    # between calls, and _check_args reads the environment each time.
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="Exact checks for quantum differential operators on the "

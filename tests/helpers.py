@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from qweyl import weylops
 from qweyl.aqn import Element, monomials_up_to, mul
 from qweyl.qindex import MultiIndex
-from qweyl.qring import LaurentPoly
+from qweyl.qring import LaurentPoly, accumulate
 from qweyl.weylops import D, Operator, S, T, X, apply
 
 
@@ -74,3 +75,33 @@ def associativity_failures(n, dmax):
                 if mul(ea, mul(eb, ec)) != mul(ab, ec):
                     bad.append((a, b, c))
     return bad
+
+
+def _first_violation(word):
+    for k in range(len(word) - 1):
+        if weylops._pair_violates(word[k], word[k + 1]):
+            return k
+    return None
+
+
+def reference_normalize(op):
+    """The bubble loop normalize replaced: rescan each word from its first
+    letter after every rewrite, rewrite the leftmost violating pair, and
+    keep the pending words on a stack.  normalize must agree with it in
+    ==, str() and to_json()."""
+    out = {}
+    stack = []
+    for word, coeff in op.terms.items():
+        word = tuple(g for g in word if not (g.kind == "T" and not any(g.mu)))
+        stack.append((word, coeff))
+    while stack:
+        word, coeff = stack.pop()
+        if not coeff:
+            continue
+        k = _first_violation(word)
+        if k is None:
+            accumulate(out, word, coeff)
+            continue
+        for c2, repl in weylops._rewrite_pair(word[k], word[k + 1]):
+            stack.append((word[:k] + repl + word[k + 2:], coeff * c2))
+    return Operator._raw(op.n, out)

@@ -156,3 +156,21 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "weyl", "--n", "2", "--degree", "3"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_repeated_main_matches_a_fresh_parser(capsys, monkeypatch):
+    # main builds its parser once per process; a good command, an argparse
+    # error, --help and the good command again must each print and exit
+    # exactly as with a parser built for that call alone.
+    argvs = [["normalize", "--n", "1", "--op", "d1 x1"],
+             ["verify", "nope", "--n", "2"],
+             ["--help"],
+             ["normalize", "--help"],
+             ["normalize", "--n", "1", "--op", "d1 x1"]]
+    reused = [run(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_make_parser", cli._make_parser.__wrapped__)
+    fresh = [run(capsys, argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0]
+    assert "invalid choice" in reused[1][2]
+    assert reused[2][1].startswith("usage: qweyl")

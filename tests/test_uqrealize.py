@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qweyl import uqrealize
 from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs
 from qweyl.qindex import MultiIndex
@@ -148,6 +149,31 @@ def test_lemma21():
         rep = lemma21_check(n, 4)
         assert rep.failed == 0
     assert lemma21_check(1, 4).relations == []
+
+
+def test_lemma21_counterexamples_keep_their_order(monkeypatch):
+    # A broken eigenvalue, computed once per beta, must fail each (i, m)
+    # at the first beta in monomial order whose shift is nonnegative and
+    # changes it.
+    calls = []
+
+    def broken(beta):
+        calls.append(beta)
+        return q_power(beta[0])
+
+    monkeypatch.setattr(uqrealize, "q_euler_eigenvalue", broken)
+    rep = lemma21_check(3, 3)
+    betas = monomials_up_to(3, 3)
+    assert len(calls) == len(betas)
+    expected = []
+    for i in (1, 2):
+        step = MultiIndex.unit(3, i) - MultiIndex.unit(3, i + 1)
+        for m in range(-3, 4):
+            hits = [b for b in betas if (b + step.scaled(m)).is_nonneg()
+                    and b[0] != (b + step.scaled(m))[0]]
+            expected.append(hits[0].to_json() if hits else None)
+    assert [r.counterexample and r.counterexample["beta"]
+            for r in rep.relations] == expected
 
 
 def test_classical_degeneration():

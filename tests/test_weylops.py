@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qweyl import weylops
@@ -15,7 +15,8 @@ from qweyl.weylops import (D, GenSymbol, Operator, S, T, X, apply,
                            op_eq_up_to_degree, q_bracket,
                            verify_weyl_relations)
 
-from helpers import random_operator, random_word, twisted_leibniz_holds
+from helpers import (random_operator, random_word, reference_normalize,
+                     twisted_leibniz_holds)
 
 
 def mono(*entries):
@@ -117,6 +118,81 @@ def test_normalize_random_ops_action_preserving_and_idempotent():
         nf = normalize(op)
         assert op_eq_up_to_degree(op, nf, 5).equal
         assert normalize(nf) == nf
+
+
+@st.composite
+def operators(draw):
+    """An Operator of 1-4 words at rank 1-4.  Letters come from a small
+    drawn pool, so words repeat letters; sigma powers are +-1 or +-2, Theta
+    weights are zero or not, and a word may be empty."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(1, n)
+    weight = st.one_of(st.just((0,) * n),
+                       st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    letter = st.one_of(
+        index.map(X), index.map(D),
+        st.builds(S, index, st.sampled_from((1, -1, 2, -2))),
+        weight.map(T))
+    pool = draw(st.lists(letter, min_size=1, max_size=4))
+    coeff = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                            min_size=1, max_size=2).map(LaurentPoly)
+    words = st.lists(st.sampled_from(pool), max_size=7).map(tuple)
+    return Operator(n, draw(st.dictionaries(words, coeff, min_size=1,
+                                            max_size=4)))
+
+
+def _same_normal_form(op):
+    nf, ref = normalize(op), reference_normalize(op)
+    assert nf == ref
+    assert str(nf) == str(ref)
+    assert nf.to_json() == ref.to_json()
+    assert list(nf.terms.items()) == list(ref.terms.items())
+    return nf
+
+
+@settings(max_examples=300, deadline=None)
+@given(operators())
+def test_normalize_matches_the_bubble_loop(op):
+    _same_normal_form(op)
+
+
+def test_normalize_takes_the_d_x_branch_twice():
+    # d1 x1 = q x1 d1 + s1^-1 splits the word at each d1 x1 it meets:
+    # s1^-2 needs the sigma branch twice, and three paths reach x1 d1 s1^-1.
+    op = Operator.from_word(1, [D(1), X(1), D(1), X(1)])
+    nf = _same_normal_form(op)
+    assert nf.terms == {
+        (X(1), X(1), D(1), D(1)): q_power(3),
+        (X(1), D(1), S(1, -1)): LaurentPoly({3: 1, 1: 2}),
+        (S(1, -2),): LaurentPoly.one(),
+    }
+    assert op_eq_up_to_degree(op, nf, 5).equal
+
+
+def test_normalize_reads_the_rewrite_rules_at_call_time(monkeypatch):
+    op = Operator.from_word(1, [D(1), X(1)])
+    assert (S(1, -1),) in normalize(op).terms
+    orig = weylops._rewrite_pair
+
+    def no_sigma(a, b):
+        out = orig(a, b)
+        if a.kind == "D" and b.kind == "X" and a.i == b.i:
+            return out[:1]
+        return out
+
+    monkeypatch.setattr(weylops, "_rewrite_pair", no_sigma)
+    assert normalize(op).terms == {(X(1), D(1)): q_power(1)}
+    monkeypatch.undo()
+    assert (S(1, -1),) in normalize(op).terms
+
+
+def test_normalize_reads_the_order_at_call_time(monkeypatch):
+    op = Operator.from_word(2, [D(1), X(1), X(2), X(1)])
+    assert normalize(op) != op
+    monkeypatch.setattr(weylops, "_pair_violates", lambda a, b: False)
+    assert normalize(op) == op
+    monkeypatch.undo()
+    assert normalize(op) != op
 
 
 def test_op_eq_counterexample_is_lex_min():
