@@ -160,8 +160,8 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 
 def test_repeated_main_matches_a_fresh_parser(capsys, monkeypatch):
     # main builds its parser once per process; a good command, an argparse
-    # error, --help and the good command again must each print and exit
-    # exactly as with a parser built for that call alone.
+    # error, --help at both levels and the good command again must each
+    # print and exit exactly as with a parser built for that call alone.
     argvs = [["normalize", "--n", "1", "--op", "d1 x1"],
              ["verify", "nope", "--n", "2"],
              ["--help"],
