@@ -349,41 +349,33 @@ def normalize(op: Operator) -> Operator:
 
     Each word is sorted by insertion, always rewriting its leftmost
     violating pair.  The letters before a rewrite at k stay in order, so
-    the scan resumes at k - 1.  A word is a list of small ints, one per
-    distinct letter, edited in place; only a rule with several terms
-    (d_i x_i) copies it, for each branch but the last, and those branches
-    wait on a stack.  _pair_violates and _rewrite_pair are read at call
-    time and their answer per letter pair is kept for this call only.  A
-    rule coefficient q^e adds e to the word's exponent, applied when the
-    word is done; any other coefficient is multiplied in.
+    the scan resumes at k - 1.  A word is a list of letters edited in
+    place; only a rule with several terms (d_i x_i) copies it, for each
+    branch but the last, and those branches wait on a stack.
+    _pair_violates and _rewrite_pair are read at call time and their
+    answer per letter pair is kept for this call only.  Every rule
+    coefficient is a power q^e: e is added to the word's exponent, which is
+    applied when the word is done.
     """
     violates, rewrite = _pair_violates, _rewrite_pair
-    ids: dict[GenSymbol, int] = {}
-    letters: list[GenSymbol] = []
     rules: dict[tuple, list | None] = {}
 
-    def letter_id(g):
-        if g not in ids:
-            ids[g] = len(letters)
-            letters.append(g)
-        return ids[g]
-
-    def rule(pair):
-        # None when the pair is in order, else [(e, coeff or None, ids)].
-        a, b = letters[pair[0]], letters[pair[1]]
+    def rule(a, b):
+        # None when the pair is in order, else [(e, letters)] for q^e * letters.
         if not violates(a, b):
             return None
         steps = []
         for c, repl in rewrite(a, b):
-            repl = [letter_id(g) for g in repl]
-            [(e, unit)] = c.terms.items() if len(c.terms) == 1 else [(0, 0)]
-            steps.append((e, None, repl) if unit == 1 else (0, c, repl))
+            e = next(iter(c.terms), 0)
+            if c.terms != {e: 1}:
+                raise ValueError(f"rule coefficient {c} is not a power of q")
+            steps.append((e, list(repl)))
         return steps
 
     out: dict[tuple, LaurentPoly] = {}
     stack = []
     for word, coeff in op.terms.items():
-        word = [letter_id(g) for g in word if not (g.kind == "T" and not any(g.mu))]
+        word = [g for g in word if not (g.kind == "T" and not any(g.mu))]
         stack.append((word, 0, 0, coeff))
     while stack:
         word, k, exp, coeff = stack.pop()
@@ -391,20 +383,18 @@ def normalize(op: Operator) -> Operator:
             pair = (word[k], word[k + 1])
             steps = rules.get(pair, False)
             if steps is False:
-                steps = rules[pair] = rule(pair)
+                steps = rules[pair] = rule(*pair)
             if steps is None:
                 k += 1
                 continue
             back = k - 1 if k else 0
-            for e, c, repl in steps[:-1]:
+            for e, repl in steps[:-1]:
                 stack.append((word[:k] + repl + word[k + 2:], back, exp + e,
-                              coeff if c is None else coeff * c))
-            e, c, repl = steps[-1]
+                              coeff))
+            e, repl = steps[-1]
             word[k:k + 2] = repl
             k, exp = back, exp + e
-            if c is not None:
-                coeff = coeff * c
-        accumulate(out, tuple(letters[i] for i in word), coeff.shift(exp))
+        accumulate(out, tuple(word), coeff.shift(exp))
     return Operator._raw(op.n, out)
 
 

@@ -195,6 +195,19 @@ def test_normalize_reads_the_order_at_call_time(monkeypatch):
     assert normalize(op) != op
 
 
+def test_normalize_rejects_a_rule_coefficient_that_is_not_a_power_of_q(
+        monkeypatch):
+    op = Operator.from_word(1, [D(1), X(1)])
+    orig = weylops._rewrite_pair
+
+    def doubled(a, b):
+        return [(c * 2, repl) for c, repl in orig(a, b)]
+
+    monkeypatch.setattr(weylops, "_rewrite_pair", doubled)
+    with pytest.raises(ValueError, match="not a power of q"):
+        normalize(op)
+
+
 def test_op_eq_counterexample_is_lex_min():
     a = Operator.from_word(2, [X(1)])
     b = Operator.from_word(2, [X(2)])
