@@ -5,12 +5,15 @@ realizations (root_op, in uqrealize).
 
 Braid symmetries are formal substitutions on words over {E_i, F_i, K^v}; no
 algebra relations are encoded beyond merging adjacent K symbols.  All
-semantic claims are settled by weylops.decide: operator sides by their
-q-difference forms, twisted sides by sweeping actions on monomials.  The
+semantic claims are settled by weylops.decide, on q-difference forms when
+every side has one and by sweeping actions on monomials otherwise.  The
 braid checks act with rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time
 (_Twist), so the formal words of braid_root_vector are never expanded on
-their path; apply_formal of the expanded expression stays the reference the
-tests compare the twist against.
+their path: a twisted side's form is composed from the forms of the previous
+prefix, and its sweep from the previous prefix's monomial actions.
+apply_formal of the expanded expression stays the reference the tests
+compare the twist against, and the sweep of the twist stays what a failing
+report, its counterexample and its ratio come from.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .qring import LaurentPoly, accumulate, exact_div, q_int, q_power
 from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, cartan_matrix,
                         diagonal_sigma_op, q_euler_eigenvalue, root_op)
-from .weylops import Operator, Words, apply, decide, q_bracket
+from .weylops import (Operator, QForm, Words, apply, decide, form_product,
+                      form_sum, operator_form, q_bracket)
 
 
 class UqSymbol(NamedTuple):
@@ -157,16 +161,20 @@ def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
 
 class _Twist:
     """The action of sigma_t = rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} on monomials,
-    for every prefix length t of one braid word, without expanding words.
+    for every prefix length t of one braid word, without expanding words,
+    and its q-difference forms (weylops.QForm).
 
-    Each T_i is a word-multiplicative substitution (_t_image), so
-    sigma_t(s) = sum of c * sigma_{t-1}(w) over the terms (w, c) of
-    T_{i_t}(s), the letters of w applied right to left, and sigma_0(s) is
-    r.realize(s).  This is an identity of substitutions in the free
-    algebra and uses no U_q relation.  Results are memoized on
-    (t, symbol, exponent) as dicts of exponent -> coefficient,
-    filled only from the monomials actually reached; the memo lives as long
-    as the instance, which serves one check.
+    Each T_i is a word-multiplicative substitution (_t_image, read at call
+    time), so sigma_t(s) = sum of c * sigma_{t-1}(w) over the terms (w, c)
+    of T_{i_t}(s), the letters of w applied right to left, and sigma_0(s)
+    is r.realize(s).  This is an identity of substitutions in the free
+    algebra and uses no U_q relation.  Two memos follow it: the monomial
+    one, on (t, symbol, exponent), holds dicts of exponent -> coefficient
+    filled only from the monomials actually reached; the form one, on
+    (t, symbol), holds sigma_t(symbol) as a sum of composed forms, reduced
+    by form_sum.  Both live as long as the instance, which serves one
+    check.  side(t, s) hands sigma_t(s) to decide, which proves it by its
+    form and falls back to the monomial memo.
     """
 
     def __init__(self, r: Realization, word):
@@ -174,6 +182,7 @@ class _Twist:
         self.word = tuple(int(x) for x in word)
         self._images: dict[tuple, tuple] = {}
         self._memo: dict[tuple, dict] = {}
+        self._forms: dict[tuple, QForm | None] = {}
 
     def act(self, t: int, s: UqSymbol, elem: Element) -> Element:
         """sigma_t(s) applied to elem."""
@@ -183,11 +192,34 @@ class _Twist:
                 accumulate(out, b, c * c2)
         return Element._raw(elem.n, out)
 
-    def root_vector(self, p: int, sign: str):
-        """The monomial action of braid_root_vector(p, word, sign)."""
+    def side(self, t: int, s: UqSymbol) -> _TwistSide:
+        """sigma_t(s) as a relation side for decide."""
+        return _TwistSide(self, t, s)
+
+    def root_vector(self, p: int, sign: str) -> _TwistSide:
+        """The side whose action is braid_root_vector(p, word, sign)."""
         k = self.word[p - 1]
-        base = symE(k) if sign == "+" else symF(k)
-        return lambda m: self.act(p - 1, base, m)
+        return self.side(p - 1, symE(k) if sign == "+" else symF(k))
+
+    def form(self, t: int, s: UqSymbol) -> QForm | None:
+        """The form of sigma_t(s); None when a realized letter has no fit."""
+        key = (t, s)
+        if key in self._forms:
+            return self._forms[key]
+        form = None
+        if t == 0:
+            form = operator_form(self.r.realize(s))
+        else:
+            parts = []
+            for w, c in self._image(self.word[t - 1], s):
+                factors = [self.form(t - 1, letter) for letter in w]
+                if None in factors:
+                    break
+                parts.append((c, form_product(factors, self.r.n)))
+            else:
+                form = form_sum(parts)
+        self._forms[key] = form
+        return form
 
     def _sigma(self, t: int, s: UqSymbol, b: MultiIndex) -> dict:
         key = (t, s, b)
@@ -221,6 +253,21 @@ class _Twist:
             img = self._images[key] = tuple(
                 _t_image(i, s, self.r.n).terms.items())
         return img
+
+
+class _TwistSide(NamedTuple):
+    """sigma_t(s) of one twist: called on an Element it acts through the
+    monomial memo, and form() is its q-difference form."""
+
+    twist: _Twist
+    t: int
+    s: UqSymbol
+
+    def __call__(self, elem: Element) -> Element:
+        return self.twist.act(self.t, self.s, elem)
+
+    def form(self) -> QForm | None:
+        return self.twist.form(self.t, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +443,21 @@ def braid_relation_check(n: int, degree: int) -> VerificationReport:
         lhs, rhs = _Twist(r, (i, j, i)), _Twist(r, (j, i, j))
         for name, g in gens:
             decide(rep, f"braid:i={i},j={j},g={name}",
-                   lambda m: lhs.act(3, g, m), lambda m: rhs.act(3, g, m))
+                   lhs.side(3, g), rhs.side(3, g))
     for i in range(1, n + 1):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n:
                 continue
             moved = _Twist(r, (i, j))
             decide(rep, f"exchange:i={i},j={j}",
-                   lambda m: moved.act(2, symE(i), m), r.e[j - 1])
+                   moved.side(2, symE(i)), r.e[j - 1])
     for i in range(1, n + 1):
         fixed = _Twist(r, (i,))
         for j in range(1, n + 1):
             if abs(i - j) <= 1:
                 continue
             decide(rep, f"far:i={i},j={j}",
-                   lambda m: fixed.act(1, symE(j), m), r.e[j - 1])
+                   fixed.side(1, symE(j)), r.e[j - 1])
     return rep
 
 

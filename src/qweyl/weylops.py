@@ -6,11 +6,12 @@ usual composition order x_i d_{i+1} sigma_i.  Every letter formula lives in
 _letter, and the action it defines is the authority: the sweep compares two
 actions on all basis monomials up to a degree bound, and the symbolic decider
 compares their q-difference forms, fitted to _letter, on every monomial of
-every degree.  decide skips the sweep only when the forms agree and each
-fitted letter matches _letter on every exponent that sweep would reach, so a
-skipped sweep is one that would have passed; a failing relation is always
-reported by the sweep.  The rewriting system that produces normal forms is
-checked against the same action.
+every degree; a side that is not an Operator, such as a braid twist, may
+give its form too.  decide skips the sweep only when the forms agree and
+each fitted letter matches _letter on every exponent that sweep would reach,
+so a skipped sweep is one that would have passed; a failing relation is
+always reported by the sweep.  The rewriting system that produces normal
+forms is checked against the same action.
 """
 
 from __future__ import annotations
@@ -474,7 +475,10 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 # action on monomials is the lattice action with the terms outside N^n
 # dropped.  A nonzero N does not vanish at Q = q^beta on a whole translated
 # orthant, so two operators act equally on every monomial of every degree iff
-# their forms are equal.
+# their forms are equal.  The lattice action of a sum of products is the sum
+# of the composed actions, so form_sum and form_compose give the form of any
+# operator built from letters, however it is written: a word, an Operator,
+# or a braid twist (rootvec._Twist).
 
 _DEN = q_power(1) - q_power(-1)
 
@@ -549,36 +553,137 @@ def _agrees(letter, g: GenSymbol, n: int, degree: int) -> bool:
                for b in _exponents_of_degree(n, degree))
 
 
-def _fits_hold(sides, n: int, degree: int) -> bool:
-    """Every letter of the Operator sides matches its fit on every exponent
-    a sweep up to degree hands it.  A letter sees beta + (the shifts of the
-    letters to its right), so its exponents have degree at most degree plus
-    their sum; a word killed earlier hands it nothing."""
-    letter = _letter
-    need: dict[GenSymbol, int] = {}
-    for op in sides:
-        for word in op.terms:
-            top = degree
-            for g in reversed(word):
-                form = _fit(letter, g, n)
-                if form is None:
-                    return False
-                need[g] = max(need.get(g, -1), top)
-                top += sum(form.delta)
-    return all(_agrees(letter, g, n, top) for g, top in need.items())
+def _merge(into: dict, reach: dict, rise: int = 0) -> None:
+    # into[g] = max(into[g], reach[g] + rise) for every letter g of reach
+    for g, r in reach.items():
+        r += rise
+        if g not in into or into[g] < r:
+            into[g] = r
 
 
-def _word_form(word, coeff: LaurentPoly, n: int):
-    """(delta, k, N) of coeff * word, or None when a letter has no fit."""
-    letter = _letter
+class QForm(NamedTuple):
+    """An operator's q-difference form and its degree reach.
+
+    terms maps a shift delta to (k, N): x^(beta) goes to N / (q - q^-1)^k
+    times x^(beta + delta), N a dict from Q-exponents to nonzero Laurent
+    polynomials in q, read at Q = q^beta.  reach maps each letter the
+    operator hands exponents to the most by which their degree exceeds the
+    input's, when every letter acts as its fit says."""
+
+    terms: dict
+    reach: dict
+
+    def rise(self) -> int:
+        """The most by which an output's degree exceeds the input's."""
+        return max((sum(delta) for delta in self.terms), default=0)
+
+
+def _divisible(c: LaurentPoly) -> bool:
+    # q - q^-1 = q^-1 (q - 1)(q + 1): c vanishes at q = 1 and at q = -1
+    return (sum(c.terms.values()) == 0
+            and sum(-v if e % 2 else v for e, v in c.terms.items()) == 0)
+
+
+def _collect(groups: dict, delta: tuple, k: int, num: dict) -> None:
+    # add num / (q - q^-1)^k into groups[delta], over the larger power;
+    # num becomes groups' own
+    old = groups.get(delta)
+    if old is None:
+        groups[delta] = (k, num)
+        return
+    k0, total = old
+    if k0 < k:
+        lift = _DEN ** (k - k0)
+        total, k0 = {Q: x * lift for Q, x in total.items()}, k
+    elif k < k0:
+        lift = _DEN ** (k0 - k)
+        num = {Q: x * lift for Q, x in num.items()}
+    for Q, x in num.items():
+        accumulate(total, Q, x)
+    groups[delta] = (k0, total)
+
+
+def _reduced(groups: dict) -> dict:
+    # drop zero numerators; divide the rest by q - q^-1 while k > 0 and
+    # every coefficient divides
+    terms = {}
+    for delta, (k, num) in groups.items():
+        if not num:
+            continue
+        while k and all(map(_divisible, num.values())):
+            num = {Q: exact_div(x, _DEN) for Q, x in num.items()}
+            k -= 1
+        terms[delta] = (k, num)
+    return terms
+
+
+def form_sum(pairs) -> QForm:
+    """The form of the sum of c * F over the (c, F) pairs, c a LaurentPoly
+    or an int.
+
+    Each shift's numerators are added over the larger power of q - q^-1
+    and zero numerators dropped; then, while that power is positive, the
+    numerator is divided by q - q^-1 as long as every coefficient divides.
+    This keeps numerators small, and a form whose power is positive has a
+    numerator that q - q^-1 does not divide, so equal operators have equal
+    forms: a acts as b iff form_sum([(1, a), (-1, b)]) has no terms."""
+    groups: dict[tuple, tuple] = {}
+    reach: dict = {}
+    for c, form in pairs:
+        _merge(reach, form.reach)
+        for delta, (k, num) in form.terms.items():
+            num = dict(num) if c == 1 else {Q: x * c for Q, x in num.items()}
+            _collect(groups, delta, k, num)
+    return QForm(_reduced(groups), reach)
+
+
+def form_compose(a: QForm, b: QForm) -> QForm:
+    """The form of a after b: (d1, N1) o (d2, N2) is d1 + d2 with numerator
+    N1(Q q^d2) N2(Q) over (q - q^-1)^(k1 + k2), the products summed and
+    reduced as in form_sum.  a's letters are handed b's outputs, so their
+    reach grows by b's rise."""
+    groups: dict[tuple, tuple] = {}
+    for d2, (k2, n2) in b.terms.items():
+        for d1, (k1, n1) in a.terms.items():
+            num: dict[tuple, LaurentPoly] = {}
+            for Q1, c1 in n1.items():
+                c1 = c1.shift(sum(map(mul, Q1, d2)))
+                for Q2, c2 in n2.items():
+                    accumulate(num, tuple(map(add, Q1, Q2)), c1 * c2)
+            _collect(groups, tuple(map(add, d1, d2)), k1 + k2, num)
+    reach = dict(b.reach)
+    _merge(reach, a.reach, b.rise())
+    return QForm(_reduced(groups), reach)
+
+
+def form_product(forms, n: int) -> QForm:
+    """The form of f_1 o ... o f_k, f_k applied first; the identity when
+    there are no factors."""
+    if not forms:
+        zero = (0,) * n
+        return QForm({zero: (0, {zero: LaurentPoly.one()})}, {})
+    out = forms[-1]
+    for form in reversed(forms[:-1]):
+        out = form_compose(form, out)
+    return out
+
+
+def _word_form(letter, word, coeff: LaurentPoly, n: int) -> QForm | None:
+    """The form of coeff * word, its letters' fits folded in right to left: at
+    b = beta + delta, a letter multiplies N by q^(s0 + s.b) [m0 + m.b],
+    which raises k by one when m is nonzero.  A letter is handed exponents
+    of the input's degree plus the shifts of the letters to its right.
+    None when a letter has no fit."""
     delta = (0,) * n
-    k = 0
+    k = top = 0
     num = {delta: coeff}  # Q-exponent -> Laurent polynomial in q
+    reach: dict[GenSymbol, int] = {}
     for g in reversed(word):
         form = _fit(letter, g, n)
         if form is None:
             return None
-        # the letter's factor at b = beta + delta, as a polynomial in Q
+        if reach.get(g, top - 1) < top:
+            reach[g] = top
         a = form.s0 + sum(map(mul, form.s, delta))
         num = {tuple(map(add, Q, form.s)): c.shift(a) for Q, c in num.items()}
         if any(form.m):
@@ -592,32 +697,36 @@ def _word_form(word, coeff: LaurentPoly, n: int):
         elif form.m0 != 1:
             num = {Q: c * q_int(form.m0) for Q, c in num.items()}
         delta = tuple(map(add, delta, form.delta))
-    return delta, k, num
+        top += sum(form.delta)
+    return QForm({delta: (k, num)}, reach)
 
 
-def _difference(a: Operator, b: Operator, den: LaurentPoly | None = None):
-    """The form of den * a - b as {delta: N}, every N over one common power
-    of q - q^-1 and zero entries dropped, or None when a letter has no fit.
-    Empty iff a = b / den on every monomial of every degree."""
-    a._check(b)
-    groups: dict[tuple, dict] = {}  # (delta, k) -> N
-    for op, scale in ((a, LaurentPoly.one() if den is None else den), (b, -1)):
-        for word, coeff in op.terms.items():
-            form = _word_form(word, coeff * scale, a.n)
-            if form is None:
-                return None
-            delta, k, num = form
-            total = groups.setdefault((delta, k), {})
-            for Q, c in num.items():
-                accumulate(total, Q, c)
-    top = max((k for _, k in groups), default=0)
-    out: dict[tuple, dict] = {}
-    for (delta, k), num in groups.items():
-        total = out.setdefault(delta, {})
-        lift = _DEN ** (top - k)
-        for Q, c in num.items():
-            accumulate(total, Q, c * lift)
-    return {delta: num for delta, num in out.items() if num}
+def _parts(side, scale) -> list | None:
+    """The form of scale * side as (c, F) pairs to sum, or None when side
+    has none: its words' forms with their coefficients times scale folded
+    in when side is an Operator, else (scale, side.form())."""
+    if isinstance(side, Operator):
+        letter, n = _letter, side.n
+        forms = [_word_form(letter, w, c * scale, n) for w, c in side.terms.items()]
+        return None if None in forms else [(1, f) for f in forms]
+    form = getattr(side, "form", None)
+    form = None if form is None else form()
+    return None if form is None else [(scale, form)]
+
+
+def operator_form(op: Operator) -> QForm | None:
+    """op's form, the sum of its words' forms from the letters fitted to
+    _letter at call time; None when some letter has no fit."""
+    parts = _parts(op, 1)
+    return None if parts is None else form_sum(parts)
+
+
+def _difference(a, b, den: LaurentPoly | None = None) -> QForm | None:
+    """The form of den * a - b, None when a side has no form (see _parts).
+    It has no terms iff a = b / den on every monomial of every degree."""
+    pa = _parts(a, 1 if den is None else den)
+    pb = _parts(b, -1)
+    return None if pa is None or pb is None else form_sum(pa + pb)
 
 
 def symbolic_equal(a: Operator, b: Operator, den: LaurentPoly | None = None
@@ -627,29 +736,44 @@ def symbolic_equal(a: Operator, b: Operator, den: LaurentPoly | None = None
     when some letter's fit cannot be trusted (see _fit).  The fit is only
     probed at a few exponents; decide checks it on the sweep's own grid
     before it skips a sweep."""
+    a._check(b)
     diff = _difference(a, b, den)
-    return None if diff is None else not diff
+    return None if diff is None else not diff.terms
+
+
+def _proved(checks, n: int, degree: int) -> bool:
+    """Every part's sides have equal forms, and every letter they reach
+    matches its fit on every exponent a sweep up to degree would hand it:
+    exponents of degree at most degree plus the letter's reach.  By
+    induction along the sweep, each letter then acts as its fit says, so
+    the sweep computes the forms and would pass."""
+    need: dict[GenSymbol, int] = {}
+    for a, b, den in checks:
+        diff = _difference(a, b, den)
+        if diff is None or diff.terms:
+            return False
+        _merge(need, diff.reach, degree)
+    letter = _letter
+    return all(_agrees(letter, g, n, top) for g, top in need.items())
 
 
 def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
            den: LaurentPoly | None = None, parts=()) -> OpEqResult:
     """Decide the relation lhs = rhs / den and then each (lhs, rhs, den) of
     parts, on every monomial of degree <= rep.degree, in order.  A side is
-    an Operator or a callable Element -> Element.  Records the first failing
-    part's counterexample under rel_id, or a pass, and returns that part's
-    result (the last one when all pass).
+    an Operator or a callable Element -> Element; a callable that also has
+    a form() method, returning its QForm or None, gives its form that way.
+    Records the first failing part's counterexample under rel_id, or a
+    pass, and returns that part's result (the last one when all pass).
 
-    When every side is an Operator, every part is symbolic_equal and every
-    letter matches its fit on the exponents the sweep would reach, the sweep
-    would pass, so the pass is recorded without it; with the letters of
-    _letter the relation then holds on every monomial of every degree.
+    When every side has a form, every part's forms are equal and every
+    letter matches its fit on the exponents the sweep would reach, the
+    sweep would pass, so the pass is recorded without it; with the letters
+    of _letter the relation then holds on every monomial of every degree.
     Otherwise the sweep decides, so a failing report, its counterexample and
     its ratio come from the sweep alone."""
     checks = ((lhs, rhs, den), *parts)
-    sides = [s for a, b, _ in checks for s in (a, b)]
-    if (all(isinstance(s, Operator) for s in sides)
-            and all(symbolic_equal(a, b, d) for a, b, d in checks)
-            and _fits_hold(sides, rep.n, rep.degree)):
+    if _proved(checks, rep.n, rep.degree):
         res = OpEqResult(True)
     else:
         for a, b, d in checks:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from qweyl import weylops
 from qweyl.aqn import Element, monomials_up_to, mul
+from qweyl.errors import InvalidArgs
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, accumulate
+from qweyl.rootvec import positive_roots_in_convex_order
 from qweyl.weylops import D, Operator, S, T, X, apply
 
 
@@ -105,3 +109,16 @@ def reference_normalize(op):
         for c2, repl in weylops._rewrite_pair(word[k], word[k + 1]):
             stack.append((word[:k] + repl + word[k + 2:], coeff * c2))
     return Operator._raw(op.n, out)
+
+
+def reduced_longest_words(n):
+    """Every reduced word of the longest element of S_(n+1), in
+    lexicographic order."""
+    out = []
+    for word in product(range(1, n + 1), repeat=n * (n + 1) // 2):
+        try:
+            positive_roots_in_convex_order(word, n)
+        except InvalidArgs:
+            continue
+        out.append(word)
+    return out

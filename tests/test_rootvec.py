@@ -1,5 +1,4 @@
 import json
-from itertools import product
 
 import pytest
 
@@ -18,6 +17,8 @@ from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
                            theorem33_check)
 from qweyl.uqrealize import Realization, build_realization
 from qweyl.weylops import Operator, apply, compose, op_eq_up_to_degree, q_bracket
+
+from helpers import reduced_longest_words
 
 
 def mono(*entries):
@@ -275,17 +276,6 @@ def test_theorem33_broken_realization_fails():
         assert failed and all(x.counterexample is not None for x in failed)
 
 
-def _reduced_longest_words(n):
-    out = []
-    for word in product(range(1, n + 1), repeat=n * (n + 1) // 2):
-        try:
-            positive_roots_in_convex_order(word, n)
-        except InvalidArgs:
-            continue
-        out.append(word)
-    return out
-
-
 def _assert_twist_matches_expansion(r, word, degree):
     n = r.n
     twist = _Twist(r, word)
@@ -299,8 +289,8 @@ def _assert_twist_matches_expansion(r, word, degree):
 
 
 def test_twist_matches_formal_expansion_on_every_reduced_word():
-    words2 = _reduced_longest_words(2)
-    words3 = _reduced_longest_words(3)
+    words2 = reduced_longest_words(2)
+    words3 = reduced_longest_words(3)
     assert len(words2) == 2
     assert len(words3) == 16 and default_braid_word(3) in words3
     for word in words2:
@@ -354,7 +344,7 @@ def test_twist_reads_t_image_at_call_time(monkeypatch):
 
 def test_word_count_matches_expansion_on_every_reduced_word():
     for n in (1, 2, 3):
-        for word in _reduced_longest_words(n):
+        for word in reduced_longest_words(n):
             for p in range(1, len(word) + 1):
                 for sign, base in (("+", symE(word[p - 1])),
                                    ("-", symF(word[p - 1]))):

@@ -1,7 +1,8 @@
 """The symbolic decider behind decide: q-difference forms against the sweep.
 
-The sweep stays the reference: every test here compares symbolic_equal, or
-a report decided through it, with the monomial sweep it short-circuits.
+The sweep stays the reference: every test here compares symbolic_equal, a
+twist's form, or a report decided through them, with the monomial sweep
+they short-circuit.
 """
 
 import pytest
@@ -11,29 +12,53 @@ from hypothesis import strategies as st
 from qweyl import weylops
 from qweyl.qring import LaurentPoly, q_power
 from qweyl.report import VerificationReport
-from qweyl.rootvec import lemma34_check, prop32_check
-from qweyl.uqrealize import (Realization, build_realization, verify_gl,
-                             verify_serre)
-from qweyl.weylops import (D, Operator, S, T, X, compose, normalize,
-                           op_eq_up_to_degree, symbolic_equal,
+from qweyl.rootvec import (_Twist, braid_relation_check, default_braid_word,
+                           lemma34_check, positive_roots_in_convex_order,
+                           prop32_check, theorem33_check)
+from qweyl.uqrealize import (Realization, build_realization, root_op,
+                             verify_gl, verify_serre)
+from qweyl.weylops import (D, Operator, S, T, X, apply, compose, normalize,
+                           op_eq_up_to_degree, sweep_actions, symbolic_equal,
                            verify_weyl_relations)
 
+from helpers import reduced_longest_words
+
 SUITES = {"weyl": verify_weyl_relations, "serre": verify_serre,
-          "gl": verify_gl, "prop32": prop32_check, "lemma34": lemma34_check}
+          "gl": verify_gl, "prop32": prop32_check, "lemma34": lemma34_check,
+          "braid": braid_relation_check, "theorem33": theorem33_check}
+
+
+def forms_off(monkeypatch):
+    # decide then finds no side's form, so every relation is swept
+    monkeypatch.setattr(weylops, "_parts", lambda side, scale: None)
+
+
+def numerators(form):
+    """{delta: N} of a form, N over whatever power of q - q^-1."""
+    return {delta: num for delta, (_, num) in form.terms.items()}
 
 
 def certificate_degree(a, b, den=None):
+    return certificate(numerators(weylops._difference(a, b, den)))
+
+
+def certificate(diff):
     """A degree up to which the sweep must fail when the forms differ.
 
-    For a shift delta of the difference whose numerator has Q-support of
-    widths w, the grid max(0, -delta) + [0, w] holds a monomial where the
-    numerator does not vanish, and its degree is at most
-    |max(0, -delta)| + sum(w)."""
+    diff maps each shift delta of the difference to its numerator.  When
+    that numerator has Q-support of widths w, the grid max(0, -delta) +
+    [0, w] holds a monomial where it does not vanish, and its degree is at
+    most |max(0, -delta)| + sum(w)."""
     degrees = []
-    for delta, num in weylops._difference(a, b, den).items():
+    for delta, num in diff.items():
         widths = [max(c) - min(c) for c in zip(*num)]
         degrees.append(sum(max(0, -d) for d in delta) + sum(widths))
     return min(degrees)
+
+
+def twist_difference(side, op):
+    """The numerators of a twisted side's form minus op's."""
+    return numerators(weylops._difference(side, op))
 
 
 coeffs = st.dictionaries(st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)),
@@ -133,7 +158,7 @@ def test_fit_is_checked_on_the_sweep_grid(monkeypatch, suite):
     assert symbolic_equal(dx - xd, Operator.from_word(1, [S(1, -1)])) is True
     rep = SUITES[suite](1, d).to_json()
     assert (rep["failed"] > 0) == (suite == "serre")
-    monkeypatch.setattr(weylops, "symbolic_equal", lambda *args: None)
+    forms_off(monkeypatch)
     assert SUITES[suite](1, d).to_json() == rep
 
 
@@ -177,6 +202,70 @@ def test_reports_equal_sweep_only_reports(monkeypatch, suite, n, degree):
     monkeypatch.setattr(weylops, "sweep_actions", counted)
     fast = SUITES[suite](n, degree).to_json()
     assert not swept  # every relation was decided by its forms
-    monkeypatch.setattr(weylops, "symbolic_equal", lambda *args: None)
+    forms_off(monkeypatch)
     assert SUITES[suite](n, degree).to_json() == fast
     assert swept
+
+
+@pytest.mark.parametrize("n,degree,counts", [(2, 4, (10, 2)), (3, 2, (136, 56))])
+def test_twist_forms_match_sweep_on_every_reduced_word(n, degree, counts):
+    # Each braid vector against its root operator, on every reduced word of
+    # the longest element: equal forms pass the sweep, different forms fail
+    # it by the certificate degree.
+    r = build_realization(n)
+    verdicts = []
+    for word in reduced_longest_words(n):
+        twist = _Twist(r, word)
+        for p, (a, b) in enumerate(positive_roots_in_convex_order(word, n), 1):
+            for sign, (i, j) in (("+", (a, b)), ("-", (b, a))):
+                side, op = twist.root_vector(p, sign), root_op(i, j, n)
+                diff = twist_difference(side, op)
+                top = certificate(diff) if diff else degree
+                res = sweep_actions(side, lambda m: apply(op, m), n, top)
+                assert res.equal is not diff, (word, p, sign)
+                verdicts.append(not diff)
+    assert (verdicts.count(True), verdicts.count(False)) == counts
+
+
+def test_twist_fault_above_the_degree_bound(monkeypatch):
+    # e_1 gains d_1^(d+1), which kills every monomial with beta_1 <= d: the
+    # twist forms refute the vectors built from E_1, so the degree-d report
+    # is swept, and passes; the degree-(d+1) one fails.
+    n, d = 2, 3
+    r = build_realization(n)
+    e1 = r.e[0] + Operator.from_word(n, [D(1)] * (d + 1))
+    faulted = Realization(n, (e1,) + r.e[1:], r.f, r.K, r.K_inv)
+    twist = _Twist(faulted, default_braid_word(n))
+    assert twist_difference(twist.root_vector(1, "+"), root_op(1, 2, n))
+    swept = []
+    sweep = weylops.sweep_actions
+    monkeypatch.setattr(weylops, "sweep_actions",
+                        lambda *args: swept.append(args) or sweep(*args))
+    assert theorem33_check(n, d, realization=faulted).failed == 0
+    assert swept
+    assert theorem33_check(n, d + 1, realization=faulted).failed > 0
+
+
+@pytest.mark.parametrize("suite", ["theorem33", "braid"])
+def test_letter_fault_reached_only_through_a_twist(monkeypatch, suite):
+    # sigma_1's shift is wrong only at b = (3, 1), which the fit probes miss.
+    # At degree 3 no operator side hands sigma_1 an exponent of degree 4,
+    # but E_1 E_2 does: e_2 raises the degree first.  The forms cannot see
+    # the fault, so only the twist's degree box keeps decide from a pass
+    # the sweep would not give.
+    n, d = 2, 3
+    orig = weylops._letter
+
+    def bad_letter(g, b):
+        hit = orig(g, b)
+        if g == S(1, 1) and tuple(b) == (3, 1):
+            return hit[0], hit[1] + 1, hit[2]
+        return hit
+
+    monkeypatch.setattr(weylops, "_letter", bad_letter)
+    twist = _Twist(build_realization(n), default_braid_word(n))
+    assert not twist_difference(twist.root_vector(2, "+"), root_op(1, 3, n))
+    rep = SUITES[suite](n, d).to_json()
+    assert rep["failed"] > 0
+    forms_off(monkeypatch)
+    assert SUITES[suite](n, d).to_json() == rep
