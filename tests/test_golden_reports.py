@@ -89,6 +89,8 @@ CASES = {
     "serre_squared_K": _report(_serre_squared_k),
     "weyl_bad_rewrite": _report(_weyl_bad_rewrite),
     "all_rank_one": _cli(["verify", "all", "--n", "1", "--degree", "2"]),
+    "rootvec_bad_word": _cli(["rootvec", "--n", "2", "--i", "1", "--j", "3",
+                              "--word", "2,1,2", "--degree", "3"]),
 }
 _EXT = {"json": "json", "text": "txt"}
 
