@@ -21,6 +21,6 @@ from .uqrealize import (Realization, build_realization, cartan_matrix,
                         verify_serre)
 from .weylops import (D, GenSymbol, Operator, S, T, X, apply, apply_generator,
                       compose, normalize, op_eq_up_to_degree, q_bracket,
-                      symbolic_equal, verify_weyl_relations)
+                      verify_weyl_relations)
 
 __version__ = "0.1.0"

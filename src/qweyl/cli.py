@@ -23,7 +23,7 @@ from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
                       theorem33_check)
 from .uqrealize import (build_realization, classical_degeneration_check,
                         lemma21_check, root_op, verify_gl, verify_serre)
-from .weylops import (apply, normalize, op_eq_up_to_degree, sweep_actions,
+from .weylops import (apply, decide, normalize, op_eq_up_to_degree,
                       verify_weyl_relations)
 
 # The relation suites in report order: name -> (least n, runner(args)).
@@ -151,8 +151,8 @@ def _cmd_rootvec(args) -> int:
     nf = normalize(op)
     expr = braid_root_vector(p, word, sign, n)
     twist = _Twist(build_realization(n), word)
-    agreement = sweep_actions(twist.root_vector(p, sign),
-                              lambda m: apply(op, m), n, args.degree)
+    agreement = decide(VerificationReport("rootvec", n, args.degree), "agreement",
+                       twist.root_vector(p, sign), op).equal
     table = []
     for beta in monomials_up_to(n, min(args.degree, 3)):
         value = apply(op, Element.monomial(beta))
@@ -166,7 +166,7 @@ def _cmd_rootvec(args) -> int:
             "braid_expr": expr.to_json(),
             "table": [{"beta": b.to_json(), "value": v.to_json()}
                       for b, v in table],
-            "agreement": bool(agreement.equal),
+            "agreement": agreement,
         }
         _emit(args, json.dumps(payload))
     else:
@@ -180,9 +180,9 @@ def _cmd_rootvec(args) -> int:
         for b, v in table:
             lines.append(f"    {Element.monomial(b)} -> {v}")
         lines.append(f"  agreement up to degree {args.degree}: "
-                     f"{'pass' if agreement.equal else 'FAIL'}")
+                     f"{'pass' if agreement else 'FAIL'}")
         _emit(args, "\n".join(lines))
-    return 0 if agreement.equal else 1
+    return 0 if agreement else 1
 
 
 @lru_cache(maxsize=None)

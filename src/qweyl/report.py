@@ -32,10 +32,6 @@ class VerificationReport:
     def failed(self) -> int:
         return sum(1 for r in self.relations if r.status == "fail")
 
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
-
     def add(self, result: RelationResult) -> None:
         self.relations.append(result)
 

@@ -5,15 +5,16 @@ realizations (root_op, in uqrealize).
 
 Braid symmetries are formal substitutions on words over {E_i, F_i, K^v}; no
 algebra relations are encoded beyond merging adjacent K symbols.  All
-semantic claims are settled by weylops.decide, on q-difference forms when
-every side has one and by sweeping actions on monomials otherwise.  The
-braid checks act with rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time
-(_Twist), so the formal words of braid_root_vector are never expanded on
-their path: a twisted side's form is composed from the forms of the previous
-prefix, and its sweep from the previous prefix's monomial actions.
-apply_formal of the expanded expression stays the reference the tests
-compare the twist against, and the sweep of the twist stays what a failing
-report, its counterexample and its ratio come from.
+semantic claims, the rootvec command's agreement line included, are
+settled by weylops.decide, on q-difference forms when every side has one and
+by sweeping actions on monomials otherwise.  The braid checks act with
+rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time (_Twist), so the
+formal words of braid_root_vector are never expanded on their path: a
+twisted side's form is composed from the forms of the previous prefix, and
+its monomial action from the previous prefix's.  apply_formal of the
+expanded expression stays the reference the tests compare the twist
+against.  The monomial action serves only decide's refutation sweeps: a
+failing report, its counterexample and its ratio come from it.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class _Twist:
     (t, symbol), holds sigma_t(symbol) as a sum of composed forms, reduced
     by form_sum.  Both live as long as the instance, which serves one
     check.  side(t, s) hands sigma_t(s) to decide, which proves it by its
-    form and falls back to the monomial memo.
+    form; the monomial memo is read only by the sweep decide runs when the
+    forms do not prove a relation, to refute it.
     """
 
     def __init__(self, r: Realization, word):
@@ -183,14 +185,6 @@ class _Twist:
         self._images: dict[tuple, tuple] = {}
         self._memo: dict[tuple, dict] = {}
         self._forms: dict[tuple, QForm | None] = {}
-
-    def act(self, t: int, s: UqSymbol, elem: Element) -> Element:
-        """sigma_t(s) applied to elem."""
-        out: dict[MultiIndex, LaurentPoly] = {}
-        for beta, c in elem.terms.items():
-            for b, c2 in self._sigma(t, s, beta).items():
-                accumulate(out, b, c * c2)
-        return Element._raw(elem.n, out)
 
     def side(self, t: int, s: UqSymbol) -> _TwistSide:
         """sigma_t(s) as a relation side for decide."""
@@ -256,15 +250,19 @@ class _Twist:
 
 
 class _TwistSide(NamedTuple):
-    """sigma_t(s) of one twist: called on an Element it acts through the
-    monomial memo, and form() is its q-difference form."""
+    """sigma_t(s) of one twist, its single handle: called on an Element it
+    acts through the monomial memo, and form() is its q-difference form."""
 
     twist: _Twist
     t: int
     s: UqSymbol
 
     def __call__(self, elem: Element) -> Element:
-        return self.twist.act(self.t, self.s, elem)
+        out: dict[MultiIndex, LaurentPoly] = {}
+        for beta, c in elem.terms.items():
+            for b, c2 in self.twist._sigma(self.t, self.s, beta).items():
+                accumulate(out, b, c * c2)
+        return Element._raw(elem.n, out)
 
     def form(self) -> QForm | None:
         return self.twist.form(self.t, self.s)
@@ -521,6 +519,8 @@ def theorem33_check(n: int, degree: int, word=None,
             f"word of length {len(word)} is not a longest-element word "
             f"(need {expected} letters)")
     r = realization if realization is not None else build_realization(n)
+    if r.n != n:
+        raise RankMismatch(f"realization rank {r.n}, suite rank {n}")
     rep = VerificationReport("theorem33", n, degree, rank_sl=n + 1)
     twist = _Twist(r, word)
     for p, (a, b) in enumerate(roots, start=1):

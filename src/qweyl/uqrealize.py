@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .aqn import Element, monomials_up_to
-from .errors import InvalidArgs, InvalidIndex
+from .errors import InvalidArgs, InvalidIndex, RankMismatch
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
 from .report import VerificationReport
@@ -195,6 +195,8 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
     if degree < 2:
         raise InvalidArgs("degree must be >= 2")
     r = realization if realization is not None else build_realization(n)
+    if r.n != n:
+        raise RankMismatch(f"realization rank {r.n}, suite rank {n}")
     rep = VerificationReport("serre", n, degree, rank_sl=n + 1)
     A = cartan_matrix(n)
     q = q_power(1)

@@ -463,7 +463,7 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 
 
 # ---------------------------------------------------------------------------
-# symbolic equality: q-difference normal forms
+# q-difference normal forms, read by decide alone
 #
 # Write Q_k = q^(b_k).  A letter sends x^(b) to q^(s0 + s.b) [m0 + m.b]
 # x^(b + delta), so coeff * word sends x^(beta) to N(q, Q) / (q - q^-1)^k
@@ -478,7 +478,8 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 # their forms are equal.  The lattice action of a sum of products is the sum
 # of the composed actions, so form_sum and form_compose give the form of any
 # operator built from letters, however it is written: a word, an Operator,
-# or a braid twist (rootvec._Twist).
+# or a braid twist (rootvec._Twist).  decide is the one entry: it proves a
+# relation when _difference has no terms, and sweeps only when it does not.
 
 _DEN = q_power(1) - q_power(-1)
 
@@ -727,18 +728,6 @@ def _difference(a, b, den: LaurentPoly | None = None) -> QForm | None:
     pa = _parts(a, 1 if den is None else den)
     pb = _parts(b, -1)
     return None if pa is None or pb is None else form_sum(pa + pb)
-
-
-def symbolic_equal(a: Operator, b: Operator, den: LaurentPoly | None = None
-                   ) -> bool | None:
-    """Whether a = b / den on every monomial of every degree, by comparing
-    q-difference forms of the letters fitted to _letter at call time.  None
-    when some letter's fit cannot be trusted (see _fit).  The fit is only
-    probed at a few exponents; decide checks it on the sweep's own grid
-    before it skips a sweep."""
-    a._check(b)
-    diff = _difference(a, b, den)
-    return None if diff is None else not diff.terms
 
 
 def _proved(checks, n: int, degree: int) -> bool:

@@ -245,6 +245,13 @@ def test_theorem33():
         theorem33_check(2, 4, word=(1, 2))  # too short for the longest element
 
 
+def test_theorem33_rejects_a_realization_of_another_rank():
+    # caught on entry: the forms cannot prove it, and the sweep would fail
+    # deep inside the twist with an IndexError
+    with pytest.raises(RankMismatch, match="realization rank 3"):
+        theorem33_check(2, 2, realization=build_realization(3))
+
+
 def test_theorem33_reports_unit_ratio_for_other_words():
     # root vectors built along a different reduced word differ by unit
     # scalars; the report carries the per-monomial ratio on mismatch
@@ -320,7 +327,7 @@ def test_braid_suite_twists_match_formal_expansion():
                 for k in reversed(word[:t]):
                     expr = lusztig_T(k, expr)
                 for e in elems:
-                    assert twist.act(t, g, e) == apply_formal(expr, r, e)
+                    assert twist.side(t, g)(e) == apply_formal(expr, r, e)
 
 
 def test_twist_reads_t_image_at_call_time(monkeypatch):

@@ -1,15 +1,19 @@
 """The symbolic decider behind decide: q-difference forms against the sweep.
 
-The sweep stays the reference: every test here compares symbolic_equal, a
-twist's form, or a report decided through them, with the monomial sweep
-they short-circuit.
+The sweep stays the reference: every test here compares the verdict of
+weylops._difference (the function decide's proof runs on), a twist's form,
+or a report decided through them, with the monomial sweep they
+short-circuit.
 """
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl import weylops
+from qweyl import cli, rootvec, weylops
 from qweyl.qring import LaurentPoly, q_power
 from qweyl.report import VerificationReport
 from qweyl.rootvec import (_Twist, braid_relation_check, default_braid_word,
@@ -18,7 +22,7 @@ from qweyl.rootvec import (_Twist, braid_relation_check, default_braid_word,
 from qweyl.uqrealize import (Realization, build_realization, root_op,
                              verify_gl, verify_serre)
 from qweyl.weylops import (D, Operator, S, T, X, apply, compose, normalize,
-                           op_eq_up_to_degree, sweep_actions, symbolic_equal,
+                           op_eq_up_to_degree, sweep_actions,
                            verify_weyl_relations)
 
 from helpers import reduced_longest_words
@@ -31,6 +35,13 @@ SUITES = {"weyl": verify_weyl_relations, "serre": verify_serre,
 def forms_off(monkeypatch):
     # decide then finds no side's form, so every relation is swept
     monkeypatch.setattr(weylops, "_parts", lambda side, scale: None)
+
+
+def forms_equal(a, b, den=None):
+    """Whether a = b / den on every monomial of every degree, by their
+    forms; None when some letter's fit cannot be trusted."""
+    diff = weylops._difference(a, b, den)
+    return None if diff is None else not diff.terms
 
 
 def numerators(form):
@@ -110,7 +121,7 @@ def operator_pairs(draw):
 @given(operator_pairs())
 def test_symbolic_equal_matches_sweep(case):
     kind, a, b, den = case
-    verdict = symbolic_equal(a, b, den)
+    verdict = forms_equal(a, b, den)
     assert verdict is not None
     if kind != "other":
         assert verdict is (kind in ("normalize", "den"))
@@ -130,9 +141,9 @@ def test_fault_above_the_degree_bound():
     faulted = Realization(n, (e1,) + r.e[1:], r.f, r.K, r.K_inv)
     q2 = q_power(2)
     conj = compose(r.K[0], compose(r.e[0], r.K_inv[0]))
-    assert symbolic_equal(conj, r.e[0].scale(q2)) is True
+    assert forms_equal(conj, r.e[0].scale(q2)) is True
     conj = compose(r.K[0], compose(e1, r.K_inv[0]))
-    assert symbolic_equal(conj, e1.scale(q2)) is False
+    assert forms_equal(conj, e1.scale(q2)) is False
     assert verify_serre(n, d, realization=faulted).failed == 0
     assert verify_serre(n, d + 1, realization=faulted).failed > 0
 
@@ -155,7 +166,7 @@ def test_fit_is_checked_on_the_sweep_grid(monkeypatch, suite):
     monkeypatch.setattr(weylops, "_letter", bad_letter)
     dx = Operator.from_word(1, [D(1), X(1)])
     xd = Operator.from_word(1, [X(1), D(1)], q_power(1))
-    assert symbolic_equal(dx - xd, Operator.from_word(1, [S(1, -1)])) is True
+    assert forms_equal(dx - xd, Operator.from_word(1, [S(1, -1)])) is True
     rep = SUITES[suite](1, d).to_json()
     assert (rep["failed"] > 0) == (suite == "serre")
     forms_off(monkeypatch)
@@ -183,7 +194,7 @@ def test_patched_q_integer_reaches_the_verdict(monkeypatch, kind, c, verdict):
     xd = Operator.from_word(1, [X(1), D(1)])
     closed = (Operator.from_word(1, [S(1, 1)], q_power(c))
               - Operator.from_word(1, [S(1, -1)], q_power(-c)))
-    assert symbolic_equal(xd, closed, den) is verdict
+    assert forms_equal(xd, closed, den) is verdict
     rep = VerificationReport("probe", 1, 2)
     assert not weylops.decide(rep, "xd", xd, closed, den)
     assert rep.failed == 1
@@ -205,6 +216,45 @@ def test_reports_equal_sweep_only_reports(monkeypatch, suite, n, degree):
     forms_off(monkeypatch)
     assert SUITES[suite](n, degree).to_json() == fast
     assert swept
+
+
+def rootvec_argvs():
+    """The 30 rootvec commands of the benchmark's rewrite stream: every index
+    pair at n = 2, 3 and degree 1, 2, less the pairs whose braid vector has
+    128 or more words at that degree."""
+    out = []
+    for n in (2, 3):
+        for i in range(1, n + 2):
+            for j in range(1, n + 2):
+                for degree in (1, 2):
+                    if i == j or n == 3 and ({i, j} == {3, 4} or
+                                             {i, j} == {2, 4} and degree == 2):
+                        continue
+                    out.append(["rootvec", "--n", str(n), "--i", str(i),
+                                "--j", str(j), "--degree", str(degree)])
+    return out
+
+
+def test_benchmark_traffic_is_decided_by_forms(monkeypatch):
+    # What the four benchmark workloads decide is proved by forms alone, so
+    # a change that sends it back to sweeps fails here.  The twist's
+    # monomial action is counted too: only a sweep reads it.
+    swept = []
+    sweep, sigma = weylops.sweep_actions, rootvec._Twist._sigma
+    monkeypatch.setattr(weylops, "sweep_actions",
+                        lambda *args: swept.append(args) or sweep(*args))
+    monkeypatch.setattr(rootvec._Twist, "_sigma",
+                        lambda *args: swept.append(args) or sigma(*args))
+    for n, degree in ((5, 4), (2, 24)):
+        for suite in ("weyl", "serre", "gl", "prop32", "lemma34"):
+            assert SUITES[suite](n, degree).failed == 0
+    assert theorem33_check(3, 2).failed == 0
+    assert braid_relation_check(3, 3).failed == 0
+    argvs = rootvec_argvs()
+    assert len(argvs) == 30
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(argv) for argv in argvs] == [0] * 30
+    assert not swept
 
 
 @pytest.mark.parametrize("n,degree,counts", [(2, 4, (10, 2)), (3, 2, (136, 56))])

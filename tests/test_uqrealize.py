@@ -4,7 +4,7 @@ import pytest
 
 from qweyl import uqrealize
 from qweyl.aqn import Element, monomials_up_to
-from qweyl.errors import InvalidArgs
+from qweyl.errors import InvalidArgs, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_int, q_power
 from qweyl.uqrealize import (Realization, build_realization, cartan_matrix,
@@ -104,6 +104,11 @@ def test_verify_serre():
         assert rep.rank_sl == n + 1
     with pytest.raises(InvalidArgs):
         verify_serre(1, 1)
+
+
+def test_verify_serre_rejects_a_realization_of_another_rank():
+    with pytest.raises(RankMismatch, match="realization rank 3"):
+        verify_serre(2, 2, realization=build_realization(3))
 
 
 def test_verify_gl():
