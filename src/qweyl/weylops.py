@@ -493,14 +493,6 @@ class _LetterForm(NamedTuple):
     m0: int
     m: tuple
 
-    def predict(self, b: tuple):
-        """What _letter returns at b if this fit holds there."""
-        out = tuple(map(add, b, self.delta))
-        if min(out) < 0:
-            return None
-        return (out, self.s0 + sum(map(mul, self.s, b)),
-                self.m0 + sum(map(mul, self.m, b)))
-
 
 @lru_cache(maxsize=None)
 def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
@@ -533,25 +525,36 @@ def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
     return form
 
 
-def _exponents_of_degree(n: int, degree: int) -> list[tuple]:
+@lru_cache(maxsize=32)  # bounded: a box of high degree keeps few layers
+def _exponents_of_degree(n: int, degree: int) -> tuple:
     tuples = [()]
     for _ in range(n - 1):
         tuples = [t + (v,) for t in tuples for v in range(degree + 1 - sum(t))]
-    return [t + (degree - sum(t),) for t in tuples]
+    return tuple(t + (degree - sum(t),) for t in tuples)
 
 
-@lru_cache(maxsize=None)
+_CHECKED: dict = {}  # (letter, g, n) -> the highest degree _agrees passed
+
+
 def _agrees(letter, g: GenSymbol, n: int, degree: int) -> bool:
     """letter(g, b) is what g's fit predicts at every b >= 0 with
-    |b| <= degree.  Checked one degree at a time, so a larger box pays only
-    for its new layers."""
-    if degree < 0:
+    |b| <= degree: (b + delta, s0 + s.b, m0 + m.b), or None when b + delta
+    leaves N^n.  Checked one degree at a time, and the highest degree that
+    passed is kept, so a larger box pays only for its new layers."""
+    key = (letter, g, n)
+    done = _CHECKED.get(key, -1)
+    if done >= degree:
         return True
-    if not _agrees(letter, g, n, degree - 1):
-        return False
-    form = _fit(letter, g, n)
-    return all(letter(g, b) == form.predict(b)
-               for b in _exponents_of_degree(n, degree))
+    delta, s0, s, m0, m = _fit(letter, g, n)
+    for d in range(done + 1, degree + 1):
+        for b in _exponents_of_degree(n, d):
+            out = tuple(map(add, b, delta))
+            want = None if min(out) < 0 else (
+                out, s0 + sum(map(mul, s, b)), m0 + sum(map(mul, m, b)))
+            if letter(g, b) != want:
+                return False
+        _CHECKED[key] = d
+    return True
 
 
 def _merge(into: dict, reach: dict, rise: int = 0) -> None:
@@ -669,36 +672,47 @@ def form_product(forms, n: int) -> QForm:
     return out
 
 
+_FIT_ROWS: dict = {}  # (letter, n) -> {g: (*_fit(letter, g, n), any(m), rise)}
+
+
 def _word_form(letter, word, coeff: LaurentPoly, n: int) -> QForm | None:
     """The form of coeff * word, its letters' fits folded in right to left: at
     b = beta + delta, a letter multiplies N by q^(s0 + s.b) [m0 + m.b],
-    which raises k by one when m is nonzero.  A letter is handed exponents
-    of the input's degree plus the shifts of the letters to its right.
-    None when a letter has no fit."""
-    delta = (0,) * n
-    k = top = 0
-    num = {delta: coeff}  # Q-exponent -> Laurent polynomial in q
+    which raises k by one when m is nonzero.  The factors q^(s0 + s.delta)
+    Q^s are carried as one power p of q and one Q-offset, so N's
+    polynomials are touched only where m is nonzero and once at the end.  A
+    letter is handed exponents of the input's degree plus the shifts of the
+    letters to its right.  None when a letter has no fit."""
+    rows = _FIT_ROWS.setdefault((letter, n), {})
+    delta = off = (0,) * n
+    k = top = p = 0
+    num = {delta: coeff}  # Q-exponent -> Laurent polynomial in q, before p, off
     reach: dict[GenSymbol, int] = {}
     for g in reversed(word):
-        form = _fit(letter, g, n)
-        if form is None:
-            return None
+        row = rows.get(g)
+        if row is None:
+            form = _fit(letter, g, n)
+            if form is None:
+                return None
+            row = rows[g] = (*form, any(form.m), sum(form.delta))
+        step, s0, s, m0, m, split, rise = row
         if reach.get(g, top - 1) < top:
             reach[g] = top
-        a = form.s0 + sum(map(mul, form.s, delta))
-        num = {tuple(map(add, Q, form.s)): c.shift(a) for Q, c in num.items()}
-        if any(form.m):
-            a = form.m0 + sum(map(mul, form.m, delta))
+        p += s0 + sum(map(mul, s, delta))
+        off = tuple(map(add, off, s))
+        if split:
+            a = m0 + sum(map(mul, m, delta))
             out: dict[tuple, LaurentPoly] = {}
             for Q, c in num.items():
-                accumulate(out, tuple(map(add, Q, form.m)), c.shift(a))
-                accumulate(out, tuple(map(sub, Q, form.m)), -c.shift(-a))
+                accumulate(out, tuple(map(add, Q, m)), c.shift(a))
+                accumulate(out, tuple(map(sub, Q, m)), -c.shift(-a))
             num = out
             k += 1
-        elif form.m0 != 1:
-            num = {Q: c * q_int(form.m0) for Q, c in num.items()}
-        delta = tuple(map(add, delta, form.delta))
-        top += sum(form.delta)
+        elif m0 != 1:
+            num = {Q: c * q_int(m0) for Q, c in num.items()}
+        delta = tuple(map(add, delta, step))
+        top += rise
+    num = {tuple(map(add, Q, off)): c.shift(p) for Q, c in num.items()}
     return QForm({delta: (k, num)}, reach)
 
 

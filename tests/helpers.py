@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import product
+from operator import add, sub
 
 from qweyl import weylops
 from qweyl.aqn import Element, monomials_up_to, mul
 from qweyl.errors import InvalidArgs
 from qweyl.qindex import MultiIndex
-from qweyl.qring import LaurentPoly, accumulate
+from qweyl.qring import LaurentPoly, accumulate, q_int
 from qweyl.rootvec import positive_roots_in_convex_order
-from qweyl.weylops import D, Operator, S, T, X, apply
+from qweyl.weylops import D, Operator, QForm, S, T, X, _fit, apply
 
 
 def random_word(rng, n, max_len=5):
@@ -122,3 +124,45 @@ def reduced_longest_words(n):
             continue
         out.append(word)
     return out
+
+
+def reference_word_form(letter, word, coeff, n):
+    """The fold weylops._word_form replaced: each letter's factor q^(s0 +
+    s.b) Q^s and its q-integer [m0 + m.b] multiplied into every numerator
+    polynomial at that letter.  _word_form must return the same terms and
+    the same reach."""
+    delta = (0,) * n
+    k = top = 0
+    num = {delta: coeff}
+    reach = {}
+    for g in reversed(word):
+        form = _fit(letter, g, n)
+        if form is None:
+            return None
+        if reach.get(g, top - 1) < top:
+            reach[g] = top
+        a = form.s0 + sum(map(operator.mul, form.s, delta))
+        num = {tuple(map(add, Q, form.s)): c.shift(a) for Q, c in num.items()}
+        if any(form.m):
+            a = form.m0 + sum(map(operator.mul, form.m, delta))
+            out = {}
+            for Q, c in num.items():
+                accumulate(out, tuple(map(add, Q, form.m)), c.shift(a))
+                accumulate(out, tuple(map(sub, Q, form.m)), -c.shift(-a))
+            num = out
+            k += 1
+        elif form.m0 != 1:
+            num = {Q: c * q_int(form.m0) for Q, c in num.items()}
+        delta = tuple(map(add, delta, form.delta))
+        top += sum(form.delta)
+    return QForm({delta: (k, num)}, reach)
+
+
+def predict(form, b):
+    """What the letter function returns at b if its fit form holds there:
+    the plain rule weylops._agrees checks layer by layer."""
+    out = tuple(map(add, b, form.delta))
+    if min(out) < 0:
+        return None
+    return (out, form.s0 + sum(map(operator.mul, form.s, b)),
+            form.m0 + sum(map(operator.mul, form.m, b)))

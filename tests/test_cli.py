@@ -31,6 +31,15 @@ def test_verify_all_rank_one_skips(capsys):
     assert "[skip] suite:gl" in out
 
 
+def test_verify_high_degree(capsys):
+    # the letter boxes are checked one degree layer at a time in a loop, so
+    # a degree far above the recursion limit still finishes
+    code, out, _ = run(capsys, ["verify", "weyl", "--n", "1", "--degree", "600",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["failed"] == 0
+
+
 def test_config_errors(capsys):
     code, _, err = run(capsys, ["verify", "weyl", "--n", "0"])
     assert code == 2

@@ -8,9 +8,10 @@ short-circuit.
 
 import contextlib
 import io
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import cli, rootvec, weylops
@@ -25,7 +26,7 @@ from qweyl.weylops import (D, Operator, S, T, X, apply, compose, normalize,
                            op_eq_up_to_degree, sweep_actions,
                            verify_weyl_relations)
 
-from helpers import reduced_longest_words
+from helpers import predict, reduced_longest_words, reference_word_form
 
 SUITES = {"weyl": verify_weyl_relations, "serre": verify_serre,
           "gl": verify_gl, "prop32": prop32_check, "lemma34": lemma34_check,
@@ -129,6 +130,86 @@ def test_symbolic_equal_matches_sweep(case):
         assert op_eq_up_to_degree(a, b, 6, den)
     else:
         assert not op_eq_up_to_degree(a, b, certificate_degree(a, b, den), den)
+
+
+def d_carries_two(g, b):
+    # d_i keeps the constant q-integer [2] in its fit: the one case where a
+    # letter with m = 0 still multiplies the numerator
+    hit = weylops._letter(g, b)
+    if g.kind != "D" or hit is None:
+        return hit
+    return hit[0], hit[1], 2
+
+
+@st.composite
+def words_with_coefficients(draw):
+    """(n, word, coeff): a word of up to six letters of all four kinds at
+    rank 1 to 3, and a nonzero Laurent coefficient."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, n)
+    letter = st.one_of(
+        index.map(X), index.map(D),
+        st.builds(S, index, st.sampled_from((1, -1, 2))),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(T))
+    word = draw(st.lists(letter, max_size=6).map(tuple))
+    coeff = draw(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool),
+                                 min_size=1, max_size=4).map(LaurentPoly))
+    return n, word, coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_with_coefficients(), st.booleans())
+@example((1, (X(1), D(1), D(1)), LaurentPoly({0: 1})), False)
+@example((2, (X(2), D(1), X(1), D(2), D(2)), LaurentPoly({1: 2, -1: -1})), True)
+def test_word_form_matches_its_reference(case, patched):
+    # In x1 d1 d1 the running degree is -2 when x1 is reached, so x1's reach
+    # is recorded only because a missing letter defaults to top - 1.
+    n, word, coeff = case
+    letter = d_carries_two if patched else weylops._letter
+    fast = weylops._word_form(letter, word, coeff, n)
+    slow = reference_word_form(letter, word, coeff, n)
+    assert fast.terms == slow.terms
+    assert fast.reach == slow.reach
+
+
+def drop_d_twist(g, b):
+    # criterion 11(b): d_i loses its q^(-sum_{s<i} b_s)
+    hit = weylops._letter(g, b)
+    if g.kind != "D" or hit is None:
+        return hit
+    return hit[0], 0, hit[2]
+
+
+def one_exponent_fault(g, b):
+    # d_1's shift is wrong only at b = (5,), beyond the fit's probes
+    hit = weylops._letter(g, b)
+    if g.kind == "D" and tuple(b) == (5,):
+        return hit[0], hit[1] + 1, hit[2]
+    return hit
+
+
+@pytest.mark.parametrize("base", [weylops._letter, drop_d_twist, one_exponent_fault])
+def test_box_check_matches_the_plain_rule(base):
+    # _agrees(letter, g, n, d) must say whether letter(g, b) is the fit's
+    # prediction at every b with |b| <= d, whichever degrees were asked
+    # before: up, down, or a smaller one after a larger one.
+    top = 7
+    verdicts = []
+    for n in (1, 2):
+        letters = [g for i in range(1, n + 1) for g in (X(i), D(i), S(i, 1), S(i, -1))]
+        letters += [T(mu) for mu in product((-1, 1), repeat=n)]
+        box = [b for b in product(range(top + 1), repeat=n) if sum(b) <= top]
+        for g in letters:
+            fit = weylops._fit(base, g, n)
+            want = [all(base(g, b) == predict(fit, b) for b in box if sum(b) <= d)
+                    for d in range(top + 1)]
+            for order in (range(top + 1), range(top, -1, -1), (3, top, 0, 5, 1, 6)):
+                def letter(g, b):  # a new function, so no layer is checked yet
+                    return base(g, b)
+                got = [weylops._agrees(letter, g, n, d) for d in order]
+                assert got == [want[d] for d in order], (g, n, list(order))
+            verdicts += want
+    assert (False in verdicts) == (base is one_exponent_fault)
 
 
 def test_fault_above_the_degree_bound():
