@@ -525,7 +525,7 @@ def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
     return form
 
 
-@lru_cache(maxsize=32)  # bounded: a box of high degree keeps few layers
+@lru_cache(maxsize=32)  # bounded, so a box of high degree keeps few of its layers
 def _exponents_of_degree(n: int, degree: int) -> tuple:
     tuples = [()]
     for _ in range(n - 1):
