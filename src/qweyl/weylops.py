@@ -268,6 +268,30 @@ def apply(op: Operator, elem: Element) -> Element:
     return Element._raw(elem.n, {MultiIndex(b): c for b, c in out.items()})
 
 
+def apply_at_one(op: Operator, beta: tuple) -> dict[tuple, int]:
+    """apply(op, x^(beta)) specialized at q = 1, on ints: {b: value != 0}.
+
+    Each word is folded through _letter as in apply, but the shifts are
+    dropped and the ms multiplied into coeff.eval_at_one(); evaluating at
+    q = 1 is a ring map, so this is exact.
+    """
+    if op.n != len(beta):
+        raise RankMismatch(f"operator rank {op.n}, exponent rank {len(beta)}")
+    out: dict[tuple, int] = {}
+    for word, coeff in op.terms.items():
+        b = beta
+        v = coeff.eval_at_one()
+        for g in reversed(word):
+            hit = _letter(g, b)
+            if hit is None:
+                break
+            b, _, m = hit
+            v *= m
+        else:
+            out[b] = out.get(b, 0) + v
+    return {b: v for b, v in out.items() if v}
+
+
 def compose(a: Words, b: Words) -> Words:
     """Word concatenation, distributed bilinearly: (a b)(v) = a(b(v)).
     Each product word is put in a's canonical form."""

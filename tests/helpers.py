@@ -6,13 +6,16 @@ import operator
 from itertools import product
 from operator import add, sub
 
-from qweyl import weylops
+from qweyl import uqrealize, weylops
 from qweyl.aqn import Element, monomials_up_to, mul
 from qweyl.errors import InvalidArgs
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, accumulate, q_int
+from qweyl.report import VerificationReport
 from qweyl.rootvec import positive_roots_in_convex_order
 from qweyl.weylops import D, Operator, QForm, S, T, X, _fit, apply
+
+REAL_LETTER = weylops._letter
 
 
 def random_word(rng, n, max_len=5):
@@ -166,3 +169,74 @@ def predict(form, b):
         return None
     return (out, form.s0 + sum(map(operator.mul, form.s, b)),
             form.m0 + sum(map(operator.mul, form.m, b)))
+
+
+def drop_d_twist(g, b):
+    """Criterion 11(b)'s fault: d_i loses its q^(-sum_{s<i} b_s), which
+    vanishes at q = 1."""
+    hit = REAL_LETTER(g, b)
+    if g.kind != "D" or hit is None:
+        return hit
+    return hit[0], 0, hit[2]
+
+
+def x_two_more(g, b):
+    """A fault that shows at q = 1: x_i multiplies by [b_i + 2]."""
+    hit = REAL_LETTER(g, b)
+    if g.kind != "X":
+        return hit
+    return hit[0], hit[1], b[g.i - 1] + 2
+
+
+def reference_classical(n, degree):
+    """The loop classical_degeneration_check replaced: apply each generator
+    to x^(beta) over Z[q, q^-1], then evaluate every coefficient at q = 1
+    and drop the zeros.  The suite must give the same report."""
+    r = uqrealize.build_realization(n)
+    rep = VerificationReport("classical", n, degree)
+    gens = []
+    for i in range(1, n + 1):
+        gens.append((f"e{i}", "e", i, r.e[i - 1]))
+        gens.append((f"f{i}", "f", i, r.f[i - 1]))
+        gens.append((f"K{i}", "K", i, r.K[i - 1]))
+        gens.append((f"K{i}^-1", "Kinv", i, r.K_inv[i - 1]))
+    betas = monomials_up_to(n, degree)
+    for rel_id, kind, i, op in gens:
+        fail = None
+        for beta in betas:
+            out = apply(op, Element.monomial(beta))
+            quantum = {b: v for b, v in
+                       ((b, c.eval_at_one()) for b, c in out.terms.items()) if v}
+            classical = uqrealize._classical_action(kind, i, beta)
+            if quantum != classical:
+                fail = {"beta": beta.to_json(),
+                        "lhs": {str(list(b)): v for b, v in sorted(quantum.items())},
+                        "rhs": {str(list(b)): v for b, v in sorted(classical.items())}}
+                break
+        rep.record(rel_id, fail)
+    return rep
+
+
+def reference_lemma21(n, max_degree):
+    """The loop lemma21_check replaced: each shift is beta + m (eps_i -
+    eps_{i+1}) in MultiIndex arithmetic.  The eigenvalue is read from
+    uqrealize at call time, so a patched one reaches both."""
+    rep = VerificationReport("lemma21", n, max_degree)
+    betas = monomials_up_to(n, max_degree)
+    eigen = {beta: uqrealize.q_euler_eigenvalue(beta) for beta in betas}
+    for i in range(1, n):
+        step = MultiIndex.unit(n, i) - MultiIndex.unit(n, i + 1)
+        for m in range(-3, 4):
+            fail = None
+            for beta in betas:
+                shifted = beta + step.scaled(m)
+                if not shifted.is_nonneg():
+                    continue
+                lhs = eigen[beta]
+                rhs = eigen[shifted]
+                if lhs != rhs:
+                    fail = {"beta": beta.to_json(), "i": i, "m": m,
+                            "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+                    break
+            rep.record(f"shift:i={i},m={m}", fail)
+    return rep

@@ -26,7 +26,8 @@ from qweyl.weylops import (D, Operator, S, T, X, apply, compose, normalize,
                            op_eq_up_to_degree, sweep_actions,
                            verify_weyl_relations)
 
-from helpers import predict, reduced_longest_words, reference_word_form
+from helpers import (drop_d_twist, predict, reduced_longest_words,
+                     reference_word_form)
 
 SUITES = {"weyl": verify_weyl_relations, "serre": verify_serre,
           "gl": verify_gl, "prop32": prop32_check, "lemma34": lemma34_check,
@@ -170,14 +171,6 @@ def test_word_form_matches_its_reference(case, patched):
     slow = reference_word_form(letter, word, coeff, n)
     assert fast.terms == slow.terms
     assert fast.reach == slow.reach
-
-
-def drop_d_twist(g, b):
-    # criterion 11(b): d_i loses its q^(-sum_{s<i} b_s)
-    hit = weylops._letter(g, b)
-    if g.kind != "D" or hit is None:
-        return hit
-    return hit[0], 0, hit[2]
 
 
 def one_exponent_fault(g, b):

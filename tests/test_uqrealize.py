@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qweyl import uqrealize
+from qweyl import uqrealize, weylops
 from qweyl.aqn import Element, monomials_up_to
 from qweyl.errors import InvalidArgs, RankMismatch
 from qweyl.qindex import MultiIndex
@@ -13,6 +13,9 @@ from qweyl.uqrealize import (Realization, build_realization, cartan_matrix,
                              verify_serre)
 from qweyl.weylops import (D, Operator, S, T, X, apply, compose,
                            op_eq_up_to_degree, q_bracket)
+
+from helpers import (drop_d_twist, reference_classical, reference_lemma21,
+                     x_two_more)
 
 
 def mono(*entries):
@@ -191,6 +194,30 @@ def test_classical_degeneration():
     assert out.terms[MultiIndex((1, 2))].eval_at_one() == 4
     # f_2 coefficient is already q-free
     assert apply(r.f[1], mono(1, 1)).terms[MultiIndex((1, 0))] == LaurentPoly({0: -1})
+
+
+@pytest.mark.parametrize("letter", [weylops._letter, drop_d_twist, x_two_more])
+def test_classical_check_matches_its_reference(monkeypatch, letter):
+    # The q = 1 fold on ints must give the apply-then-evaluate loop's report
+    # byte for byte, counterexample dicts included, whatever _letter is.
+    monkeypatch.setattr(weylops, "_letter", letter)
+    for n, degree in ((1, 6), (2, 4), (3, 3)):
+        rep = classical_degeneration_check(n, degree)
+        assert rep.to_json() == reference_classical(n, degree).to_json()
+    rep = classical_degeneration_check(2, 4)
+    assert (rep.failed > 0) == (letter is x_two_more)
+    assert all("lhs" in r.counterexample for r in rep.relations if r.status == "fail")
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_lemma21_matches_its_reference(monkeypatch, broken):
+    if broken:
+        monkeypatch.setattr(uqrealize, "q_euler_eigenvalue",
+                            lambda beta: q_power(beta[0]))
+    for n in range(1, 5):
+        rep = lemma21_check(n, 5)
+        assert rep.to_json() == reference_lemma21(n, 5).to_json()
+        assert (rep.failed > 0) == (broken and n > 1)
 
 
 def test_report_json_shape():

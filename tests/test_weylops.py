@@ -1,7 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import weylops
@@ -15,8 +16,8 @@ from qweyl.weylops import (D, GenSymbol, Operator, S, T, X, apply,
                            op_eq_up_to_degree, q_bracket,
                            verify_weyl_relations)
 
-from helpers import (random_operator, random_word, reference_normalize,
-                     twisted_leibniz_holds)
+from helpers import (drop_d_twist, random_operator, random_word,
+                     reference_normalize, twisted_leibniz_holds, x_two_more)
 
 
 def mono(*entries):
@@ -352,3 +353,54 @@ def test_x_letter_q_integer_fault_is_caught(monkeypatch):
 
     monkeypatch.setattr(weylops, "_letter", bad_letter)
     assert verify_serre(2, 4).failed > 0
+
+
+LETTERS = {"real": weylops._letter, "no d twist": drop_d_twist,
+           "x two more": x_two_more}
+Q_MINUS_Q_INV = LaurentPoly({1: 1, -1: -1})  # 0 at q = 1
+
+
+@st.composite
+def operators_at_exponents(draw):
+    """(op, beta): up to four words of up to six letters of all four kinds
+    at rank 1-3, some with coefficient q - q^-1, and beta of degree <= 5."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, n)
+    letter = st.one_of(
+        index.map(X), index.map(D),
+        st.builds(S, index, st.sampled_from((1, -1, 2))),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(T))
+    coeff = st.one_of(
+        st.just(Q_MINUS_Q_INV),
+        st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                        min_size=1, max_size=3).map(LaurentPoly))
+    words = st.lists(letter, max_size=6).map(tuple)
+    op = Operator(n, draw(st.dictionaries(words, coeff, min_size=1, max_size=4)))
+    return op, draw(st.sampled_from(monomials_up_to(n, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operators_at_exponents(), st.sampled_from(sorted(LETTERS)))
+# d1 kills x^(1) at its second letter; x1 d1 - 1 sums to 0 at x^(1)
+@example((Operator.from_word(1, [X(1), D(1), D(1)]), (1,)), "real")
+@example((Operator(1, {(X(1), D(1)): LaurentPoly.one(),
+                       (): LaurentPoly({0: -1})}), (1,)), "real")
+@example((Operator.from_word(2, [X(2), D(1)], Q_MINUS_Q_INV), (1, 1)), "x two more")
+def test_apply_at_one_matches_apply_at_q_one(case, name):
+    op, beta = case
+    with mock.patch.object(weylops, "_letter", LETTERS[name]):
+        fast = weylops.apply_at_one(op, beta)
+        slow = apply(op, Element.monomial(MultiIndex(beta)))
+    assert fast == {b: v for b, c in slow.terms.items() if (v := c.eval_at_one())}
+
+
+def test_apply_at_one_reads_the_letter_at_call_time(monkeypatch):
+    op = Operator.from_word(2, [X(2), D(1)], q_power(3))
+    assert weylops.apply_at_one(op, (1, 1)) == {(0, 2): 2}
+    assert weylops.apply_at_one(op, (0, 1)) == {}
+    monkeypatch.setattr(weylops, "_letter", x_two_more)
+    assert weylops.apply_at_one(op, (1, 1)) == {(0, 2): 3}
+    with pytest.raises(RankMismatch):
+        weylops.apply_at_one(op, (1,))
+    with pytest.raises(RankMismatch):
+        weylops.apply_at_one(op, (1, 1, 0))
