@@ -269,7 +269,7 @@ def apply(op: Operator, elem: Element) -> Element:
 
 
 def apply_at_one(op: Operator, beta: tuple) -> dict[tuple, int]:
-    """apply(op, x^(beta)) specialized at q = 1, on ints: {b: value != 0}.
+    """apply(op, x^(beta)) specialized at q = 1, on ints: {b: nonzero int}.
 
     Each word is folded through _letter as in apply, but the shifts are
     dropped and the ms multiplied into coeff.eval_at_one(); evaluating at

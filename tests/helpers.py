@@ -172,8 +172,8 @@ def predict(form, b):
 
 
 def drop_d_twist(g, b):
-    """Criterion 11(b)'s fault: d_i loses its q^(-sum_{s<i} b_s), which
-    vanishes at q = 1."""
+    """Criterion 11(b)'s fault: d_i loses its q^(-sum_{s<i} b_s), a factor
+    that is 1 at q = 1."""
     hit = REAL_LETTER(g, b)
     if g.kind != "D" or hit is None:
         return hit
