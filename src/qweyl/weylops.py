@@ -7,18 +7,20 @@ _letter, and the action it defines is the authority: the sweep compares two
 actions on all basis monomials up to a degree bound, and the symbolic decider
 compares their q-difference forms, fitted to _letter, on every monomial of
 every degree; a side that is not an Operator, such as a braid twist, may
-give its form too.  decide skips the sweep only when the forms agree and
-each fitted letter matches _letter on every exponent that sweep would reach,
-so a skipped sweep is one that would have passed; a failing relation is
-always reported by the sweep.  The rewriting system that produces normal
-forms is checked against the same action.
+give its form too.  Each fit is certified on symbolic exponents, where
+every path through _letter's branches must return what the fit predicts (a
+letter that inspects its exponents' type may take another path than on
+ints), so forms are exact on all of N^n.  decide skips the sweep only when
+the forms agree, so a skipped sweep is one that would have passed; a failing
+relation is always reported by the sweep.  The rewriting system that
+produces normal forms is checked against the same action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, mul, sub
+from functools import lru_cache, partialmethod
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import NamedTuple
 
 from .aqn import Element, monomials_up_to
@@ -502,8 +504,9 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 # their forms are equal.  The lattice action of a sum of products is the sum
 # of the composed actions, so form_sum and form_compose give the form of any
 # operator built from letters, however it is written: a word, an Operator,
-# or a braid twist (rootvec._Twist).  decide is the one entry: it proves a
-# relation when _difference has no terms, and sweeps only when it does not.
+# or a braid twist (rootvec._Twist); each letter's fit is certified, so forms
+# are exact at every degree.  decide is the one entry: it proves a relation
+# when _difference has no terms, and sweeps only when it does not.
 
 _DEN = q_power(1) - q_power(-1)
 
@@ -518,6 +521,127 @@ class _LetterForm(NamedTuple):
     m: tuple
 
 
+class _Unsupported(Exception):
+    """An operation on symbolic exponents that a certificate cannot follow."""
+
+
+def _feasible(cons: list) -> bool:
+    # some x >= 0 has op(a x + c0, 0) == t for every (a, c0, op, t) of cons:
+    # each is constant on x < f and x > f, f = -c0 // a, so x = 0, f or f + 1
+    return any(x >= 0 and all(op(a * x + c0, 0) == t for a, c0, op, t in cons)
+               for x in {0, *(-c0 // a + d for a, c0, _, _ in cons for d in (0, 1))})
+
+
+class _Path:
+    """One run of a letter on exponents b_j >= 0: a branch replays its
+    outcome from script, or takes its first feasible one and queues the
+    other, if feasible, on pending.  cons[j]: b_j's tests (see _feasible)."""
+
+    def __init__(self, n: int, script: list, pending: list):
+        self.cons = [[] for _ in range(n)]
+        self.script, self.taken, self.pending = script, [], pending
+
+    def holds(self, c: tuple, op) -> bool:
+        # op(c[0] + sum_j c[j+1] b_j, 0), a branch when it depends on one b_j
+        js = [j for j, v in enumerate(c[1:]) if v]
+        if not js:
+            return op(c[0], 0)
+        if len(js) > 1:
+            raise _Unsupported("a comparison over two exponents")
+        cons, k = self.cons[js[0]], len(self.taken)
+        test = (c[js[0] + 1], c[0], op)
+        if k < len(self.script):
+            truth = self.script[k]
+        else:  # both outcomes are tested before either is applied
+            truth = _feasible(cons + [(*test, True)])
+            if truth and _feasible(cons + [(*test, False)]):
+                self.pending.append(self.taken + [False])
+        self.taken.append(truth)
+        cons.append((*test, truth))
+        return truth
+
+
+class _Sym:
+    """c[0] + sum_j c[j+1] b_j on a _Path: it adds and scales by ints, each
+    comparison is a branch of the path, and the rest raises _Unsupported."""
+
+    def __init__(self, path: _Path, c: tuple):
+        self.path, self.c = path, c
+
+    def coeffs(self, x) -> tuple:
+        if isinstance(x, _Sym):
+            return x.c
+        if isinstance(x, int):
+            return (x,) + (0,) * (len(self.c) - 1)
+        raise _Unsupported(f"{type(x).__name__} with a symbolic exponent")
+
+    def __add__(self, x):
+        return _Sym(self.path, tuple(map(add, self.c, self.coeffs(x))))
+
+    def __sub__(self, x):
+        return _Sym(self.path, tuple(map(sub, self.c, self.coeffs(x))))
+
+    def __rsub__(self, x):
+        return _Sym(self.path, tuple(map(sub, self.coeffs(x), self.c)))
+
+    def __mul__(self, x):
+        a, b = self.c, (x,) if isinstance(x, int) else self.coeffs(x)
+        if any(b[1:]):
+            if any(a[1:]):
+                raise _Unsupported("a product of two exponents")
+            a, b = b, a
+        return _Sym(self.path, tuple(v * b[0] for v in a))
+
+    def __bool__(self):
+        return self.path.holds(self.c, ne)
+
+    def _compare(op):
+        return lambda self, x: self.path.holds(self.__sub__(x).c, op)
+
+    def _unsupported(self, *args):
+        raise _Unsupported("an operation that is not affine")
+
+    __radd__, __rmul__, __neg__ = __add__, __mul__, partialmethod(__mul__, -1)
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(
+        _compare, (eq, ne, lt, le, gt, ge))
+    __hash__ = __int__ = __index__ = __abs__ = __pow__ = __rpow__ = _unsupported
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _unsupported
+
+
+def _certified(letter, g: GenSymbol, n: int, form: _LetterForm) -> bool:
+    """Whether letter(g, b) is form's prediction at every b in N^n: letter
+    runs on _Sym exponents b once per path through its branches, depth
+    first, at most 64 times.  A path that forces b_j = 0 where
+    delta_j = -1 must return None; any other must exclude each such b_j = 0
+    and return (b + delta, s0 + s.b, m0 + m.b) on every b it allows.
+    Anything else, or any exception, leaves the letter uncertified."""
+    pending: list = [[]]
+    for _ in range(64):
+        path = _Path(n, pending.pop(), pending)
+        b = tuple(_Sym(path, tuple(int(k == j) for k in range(-1, n))) for j in range(n))
+        try:
+            if not _on_path(path, b, letter(g, b), form):
+                return False
+        except Exception:  # anything the letter cannot do on _Syms
+            return False
+        if not pending:
+            return True
+    return False
+
+
+def _on_path(path: _Path, b: tuple, got, form: _LetterForm) -> bool:
+    # got is as _certified asks; each w != h is a branch like any other test
+    for cons in (path.cons[j] for j, d in enumerate(form.delta) if d < 0):
+        zero, other = (_feasible(cons + [(1, 0, eq, t)]) for t in (True, False))
+        if zero:
+            return not other and got is None
+    out, shift, m = got  # None, or any other shape, raises
+    want = (*map(add, b, form.delta), _Sym(path, (form.s0, *form.s)),
+            _Sym(path, (form.m0, *form.m)))
+    return (isinstance(out, tuple) and len(out) == len(b)
+            and not any(w != h for w, h in zip(want, (*out, shift, m))))
+
+
 @lru_cache(maxsize=None)
 def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
     """g's form fitted to the letter function at b = (2,...,2) and b + eps_j.
@@ -525,7 +649,9 @@ def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
     None unless the probes show one translation delta with entries in
     {-1, 0, 1}, at most one of them +1, and, for that raised coordinate j,
     m0 + m.b = c (b_j + 1) with c nonzero: the conditions under which forms
-    decide the action on monomials (see above)."""
+    decide the action on monomials (see above).  None too unless
+    _certified proves the fit at every exponent, where a letter function
+    that inspects its exponents' type can take another path than on ints."""
     base = (2,) * n
     probes = [base] + [base[:j] + (3,) + base[j + 1:] for j in range(n)]
     hits = [letter(g, b) for b in probes]
@@ -546,64 +672,17 @@ def _fit(letter, g: GenSymbol, n: int) -> _LetterForm | None:
         c = m[raised[0]]
         if c == 0 or form.m0 != c or sum(map(abs, m)) != abs(c):
             return None
-    return form
-
-
-@lru_cache(maxsize=32)  # bounded, so a box of high degree keeps few of its layers
-def _exponents_of_degree(n: int, degree: int) -> tuple:
-    tuples = [()]
-    for _ in range(n - 1):
-        tuples = [t + (v,) for t in tuples for v in range(degree + 1 - sum(t))]
-    return tuple(t + (degree - sum(t),) for t in tuples)
-
-
-_CHECKED: dict = {}  # (letter, g, n) -> the highest degree _agrees passed
-
-
-def _agrees(letter, g: GenSymbol, n: int, degree: int) -> bool:
-    """letter(g, b) is what g's fit predicts at every b >= 0 with
-    |b| <= degree: (b + delta, s0 + s.b, m0 + m.b), or None when b + delta
-    leaves N^n.  Checked one degree at a time, and the highest degree that
-    passed is kept, so a larger box pays only for its new layers."""
-    key = (letter, g, n)
-    done = _CHECKED.get(key, -1)
-    if done >= degree:
-        return True
-    delta, s0, s, m0, m = _fit(letter, g, n)
-    for d in range(done + 1, degree + 1):
-        for b in _exponents_of_degree(n, d):
-            out = tuple(map(add, b, delta))
-            want = None if min(out) < 0 else (
-                out, s0 + sum(map(mul, s, b)), m0 + sum(map(mul, m, b)))
-            if letter(g, b) != want:
-                return False
-        _CHECKED[key] = d
-    return True
-
-
-def _merge(into: dict, reach: dict, rise: int = 0) -> None:
-    # into[g] = max(into[g], reach[g] + rise) for every letter g of reach
-    for g, r in reach.items():
-        r += rise
-        if g not in into or into[g] < r:
-            into[g] = r
+    return form if _certified(letter, g, n, form) else None
 
 
 class QForm(NamedTuple):
-    """An operator's q-difference form and its degree reach.
+    """An operator's q-difference form.
 
     terms maps a shift delta to (k, N): x^(beta) goes to N / (q - q^-1)^k
     times x^(beta + delta), N a dict from Q-exponents to nonzero Laurent
-    polynomials in q, read at Q = q^beta.  reach maps each letter the
-    operator hands exponents to the most by which their degree exceeds the
-    input's, when every letter acts as its fit says."""
+    polynomials in q, read at Q = q^beta."""
 
     terms: dict
-    reach: dict
-
-    def rise(self) -> int:
-        """The most by which an output's degree exceeds the input's."""
-        return max((sum(delta) for delta in self.terms), default=0)
 
 
 def _divisible(c: LaurentPoly) -> bool:
@@ -656,20 +735,17 @@ def form_sum(pairs) -> QForm:
     numerator that q - q^-1 does not divide, so equal operators have equal
     forms: a acts as b iff form_sum([(1, a), (-1, b)]) has no terms."""
     groups: dict[tuple, tuple] = {}
-    reach: dict = {}
     for c, form in pairs:
-        _merge(reach, form.reach)
         for delta, (k, num) in form.terms.items():
             num = dict(num) if c == 1 else {Q: x * c for Q, x in num.items()}
             _collect(groups, delta, k, num)
-    return QForm(_reduced(groups), reach)
+    return QForm(_reduced(groups))
 
 
 def form_compose(a: QForm, b: QForm) -> QForm:
     """The form of a after b: (d1, N1) o (d2, N2) is d1 + d2 with numerator
     N1(Q q^d2) N2(Q) over (q - q^-1)^(k1 + k2), the products summed and
-    reduced as in form_sum.  a's letters are handed b's outputs, so their
-    reach grows by b's rise."""
+    reduced as in form_sum."""
     groups: dict[tuple, tuple] = {}
     for d2, (k2, n2) in b.terms.items():
         for d1, (k1, n1) in a.terms.items():
@@ -679,9 +755,7 @@ def form_compose(a: QForm, b: QForm) -> QForm:
                 for Q2, c2 in n2.items():
                     accumulate(num, tuple(map(add, Q1, Q2)), c1 * c2)
             _collect(groups, tuple(map(add, d1, d2)), k1 + k2, num)
-    reach = dict(b.reach)
-    _merge(reach, a.reach, b.rise())
-    return QForm(_reduced(groups), reach)
+    return QForm(_reduced(groups))
 
 
 def form_product(forms, n: int) -> QForm:
@@ -689,14 +763,14 @@ def form_product(forms, n: int) -> QForm:
     there are no factors."""
     if not forms:
         zero = (0,) * n
-        return QForm({zero: (0, {zero: LaurentPoly.one()})}, {})
+        return QForm({zero: (0, {zero: LaurentPoly.one()})})
     out = forms[-1]
     for form in reversed(forms[:-1]):
         out = form_compose(form, out)
     return out
 
 
-_FIT_ROWS: dict = {}  # (letter, n) -> {g: (*_fit(letter, g, n), any(m), rise)}
+_FIT_ROWS: dict = {}  # (letter, n) -> {g: (*_fit(letter, g, n), any(m))}
 
 
 def _word_form(letter, word, coeff: LaurentPoly, n: int) -> QForm | None:
@@ -704,24 +778,20 @@ def _word_form(letter, word, coeff: LaurentPoly, n: int) -> QForm | None:
     b = beta + delta, a letter multiplies N by q^(s0 + s.b) [m0 + m.b],
     which raises k by one when m is nonzero.  The factors q^(s0 + s.delta)
     Q^s are carried as one power p of q and one Q-offset, so N's
-    polynomials are touched only where m is nonzero and once at the end.  A
-    letter is handed exponents of the input's degree plus the shifts of the
-    letters to its right.  None when a letter has no fit."""
+    polynomials are touched only where m is nonzero and once at the end.
+    None when a letter has no fit."""
     rows = _FIT_ROWS.setdefault((letter, n), {})
     delta = off = (0,) * n
-    k = top = p = 0
+    k = p = 0
     num = {delta: coeff}  # Q-exponent -> Laurent polynomial in q, before p, off
-    reach: dict[GenSymbol, int] = {}
     for g in reversed(word):
         row = rows.get(g)
         if row is None:
             form = _fit(letter, g, n)
             if form is None:
                 return None
-            row = rows[g] = (*form, any(form.m), sum(form.delta))
-        step, s0, s, m0, m, split, rise = row
-        if reach.get(g, top - 1) < top:
-            reach[g] = top
+            row = rows[g] = (*form, any(form.m))
+        step, s0, s, m0, m, split = row
         p += s0 + sum(map(mul, s, delta))
         off = tuple(map(add, off, s))
         if split:
@@ -735,9 +805,8 @@ def _word_form(letter, word, coeff: LaurentPoly, n: int) -> QForm | None:
         elif m0 != 1:
             num = {Q: c * q_int(m0) for Q, c in num.items()}
         delta = tuple(map(add, delta, step))
-        top += rise
     num = {tuple(map(add, Q, off)): c.shift(p) for Q, c in num.items()}
-    return QForm({delta: (k, num)}, reach)
+    return QForm({delta: (k, num)})
 
 
 def _parts(side, scale) -> list | None:
@@ -768,20 +837,11 @@ def _difference(a, b, den: LaurentPoly | None = None) -> QForm | None:
     return None if pa is None or pb is None else form_sum(pa + pb)
 
 
-def _proved(checks, n: int, degree: int) -> bool:
-    """Every part's sides have equal forms, and every letter they reach
-    matches its fit on every exponent a sweep up to degree would hand it:
-    exponents of degree at most degree plus the letter's reach.  By
-    induction along the sweep, each letter then acts as its fit says, so
-    the sweep computes the forms and would pass."""
-    need: dict[GenSymbol, int] = {}
-    for a, b, den in checks:
-        diff = _difference(a, b, den)
-        if diff is None or diff.terms:
-            return False
-        _merge(need, diff.reach, degree)
-    letter = _letter
-    return all(_agrees(letter, g, n, top) for g, top in need.items())
+def _proved(checks) -> bool:
+    """Every part's sides have forms and their difference has no terms, so
+    they act alike at every degree: certified fits are exact (see _fit)."""
+    diffs = (_difference(a, b, den) for a, b, den in checks)
+    return all(diff is not None and not diff.terms for diff in diffs)
 
 
 def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
@@ -793,14 +853,13 @@ def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
     Records the first failing part's counterexample under rel_id, or a
     pass, and returns that part's result (the last one when all pass).
 
-    When every side has a form, every part's forms are equal and every
-    letter matches its fit on the exponents the sweep would reach, the
-    sweep would pass, so the pass is recorded without it; with the letters
-    of _letter the relation then holds on every monomial of every degree.
-    Otherwise the sweep decides, so a failing report, its counterexample and
-    its ratio come from the sweep alone."""
+    When every side has a form and every part's forms are equal, the
+    relation holds on every monomial of every degree (see _proved), so the
+    pass is recorded without a sweep; a side with an uncertified letter
+    has no form.  Otherwise the sweep decides, so a failing report, its
+    counterexample and its ratio come from the sweep alone."""
     checks = ((lhs, rhs, den), *parts)
-    if _proved(checks, rep.n, rep.degree):
+    if _proved(checks):
         res = OpEqResult(True)
     else:
         for a, b, d in checks:

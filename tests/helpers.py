@@ -132,18 +132,14 @@ def reduced_longest_words(n):
 def reference_word_form(letter, word, coeff, n):
     """The fold weylops._word_form replaced: each letter's factor q^(s0 +
     s.b) Q^s and its q-integer [m0 + m.b] multiplied into every numerator
-    polynomial at that letter.  _word_form must return the same terms and
-    the same reach."""
+    polynomial at that letter.  _word_form must return the same terms."""
     delta = (0,) * n
-    k = top = 0
+    k = 0
     num = {delta: coeff}
-    reach = {}
     for g in reversed(word):
         form = _fit(letter, g, n)
         if form is None:
             return None
-        if reach.get(g, top - 1) < top:
-            reach[g] = top
         a = form.s0 + sum(map(operator.mul, form.s, delta))
         num = {tuple(map(add, Q, form.s)): c.shift(a) for Q, c in num.items()}
         if any(form.m):
@@ -157,13 +153,12 @@ def reference_word_form(letter, word, coeff, n):
         elif form.m0 != 1:
             num = {Q: c * q_int(form.m0) for Q, c in num.items()}
         delta = tuple(map(add, delta, form.delta))
-        top += sum(form.delta)
-    return QForm({delta: (k, num)}, reach)
+    return QForm({delta: (k, num)})
 
 
 def predict(form, b):
     """What the letter function returns at b if its fit form holds there:
-    the plain rule weylops._agrees checks layer by layer."""
+    the plain rule a certified fit satisfies on all of N^n."""
     out = tuple(map(add, b, form.delta))
     if min(out) < 0:
         return None
