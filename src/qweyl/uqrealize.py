@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, InvalidIndex, RankMismatch
@@ -280,6 +281,22 @@ def verify_gl(n: int, degree: int) -> VerificationReport:
     return rep
 
 
+# lemma21 and classical compare values on every monomial of degree <= degree,
+# C(n + degree, n) of them, at up to about 0.2 ms each for n <= 16; above
+# this many they are refused instead of left to run for minutes.
+ORACLE_MONOMIAL_CAP = 20000
+
+
+def _oracle_monomials(suite: str, n: int, degree: int) -> None:
+    """Raise InvalidArgs, naming the estimate, when suite's sweep at (n,
+    degree) would visit more than ORACLE_MONOMIAL_CAP monomials.  A negative
+    degree is left to monomials_up_to to refuse."""
+    count = comb(n + degree, n) if degree >= 0 else 0
+    if count > ORACLE_MONOMIAL_CAP:
+        raise InvalidArgs(f"{suite} at n={n}, degree {degree} sweeps {count} "
+                          f"monomials, above the cap of {ORACLE_MONOMIAL_CAP}")
+
+
 def lemma21_check(n: int, max_degree: int = 5) -> VerificationReport:
     """The twisted Euler eigenvalue is invariant under lattice shifts along
     eps_i - eps_{i+1}: checked exactly over the whole (beta, i, |m| <= 3) grid.
@@ -287,6 +304,7 @@ def lemma21_check(n: int, max_degree: int = 5) -> VerificationReport:
     its own (beta, i, m) counterexample rather than through decide."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
+    _oracle_monomials("lemma21", n, max_degree)
     rep = VerificationReport("lemma21", n, max_degree)
     betas = monomials_up_to(n, max_degree)
     # a step eps_i - eps_{i+1} keeps the degree, so every nonnegative
@@ -344,6 +362,7 @@ def classical_degeneration_check(n: int, degree: int) -> VerificationReport:
     over Z[q, q^-1], so it records its own counterexample, not through decide."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
+    _oracle_monomials("classical", n, degree)
     r = build_realization(n)
     rep = VerificationReport("classical", n, degree)
     gens = []

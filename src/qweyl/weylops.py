@@ -61,7 +61,9 @@ class GenSymbol(NamedTuple):
         else:
             raise InvalidArgs(f"unknown symbol kind {self.kind!r}")
 
+    @lru_cache(maxsize=None)
     def __repr__(self) -> str:
+        # once per letter, like _symbol_key and _letter_json's fields
         if self.kind == "X":
             return f"x{self.i}"
         if self.kind == "D":
@@ -90,26 +92,38 @@ def T(mu) -> GenSymbol:
     return GenSymbol("T", mu=tuple(int(v) for v in mu))
 
 
+@lru_cache(maxsize=None)
 def _symbol_key(g: GenSymbol):
     return (_CLASS[g.kind], g.i, g.e, g.mu)
 
 
 def _word_key(word):
-    return tuple(_symbol_key(g) for g in word)
+    return tuple(map(_symbol_key, word))
 
 
 def degree_shift(word) -> int:
     return sum(g.degree_shift() for g in word)
 
 
-def _letter_json(s) -> dict:
-    # {"k": kind} plus each later field that differs from its default,
-    # in field order, tuples written as lists.
+@lru_cache(maxsize=None)
+def _letter_fields(s) -> tuple[dict, tuple]:
+    # _letter_json's dict with tuples kept as tuples, and the fields that
+    # hold one: computed once per letter, so never handed out
     out = {"k": s.kind}
     for field, default in s._field_defaults.items():
         value = getattr(s, field)
         if value != default:
-            out[field] = list(value) if isinstance(value, tuple) else value
+            out[field] = value
+    return out, tuple(f for f, v in out.items() if isinstance(v, tuple))
+
+
+def _letter_json(s) -> dict:
+    # {"k": kind} plus each later field that differs from its default, in
+    # field order, tuples written as lists; a fresh dict on every call
+    out, seqs = _letter_fields(s)
+    out = out.copy()
+    for field in seqs:
+        out[field] = list(out[field])
     return out
 
 
@@ -179,7 +193,7 @@ class Words(LinComb):
 
     @staticmethod
     def _key_json(word) -> list:
-        return [_letter_json(s) for s in word]
+        return list(map(_letter_json, word))
 
     @classmethod
     def _key_from_json(cls, obj) -> tuple:
@@ -369,60 +383,109 @@ def _pair_violates(a: GenSymbol, b: GenSymbol) -> bool:
     return True  # two Theta symbols always merge
 
 
+class _RuleTable(dict):
+    """(a, b) -> rule for the letter ids a, b under one pair of rule
+    functions, filled on first use: None when a b is in order, an int e when
+    a b = q^e b a is a plain swap and b a is in order, else the list of
+    (e, replacement ids) for the terms q^e * replacement of a b."""
+
+    def __init__(self, violates, rewrite):
+        super().__init__()
+        self.violates, self.rewrite = violates, rewrite
+        self.ids: dict = {}  # letter -> id
+        self.letters: list = []  # id -> letter
+
+    def intern(self, g) -> int:
+        i = self.ids.get(g)
+        if i is None:
+            i = self.ids[g] = len(self.letters)
+            self.letters.append(g)
+        return i
+
+    def __missing__(self, pair: tuple):
+        a, b = map(self.letters.__getitem__, pair)
+        rule = None
+        if self.violates(a, b):
+            rule = []
+            for c, repl in self.rewrite(a, b):
+                e = next(iter(c.terms), 0)
+                if c.terms != {e: 1}:
+                    raise ValueError(f"rule coefficient {c} is not a power of q")
+                rule.append((e, [self.intern(g) for g in repl]))
+            if (len(rule) == 1 and rule[0][1] == [pair[1], pair[0]]
+                    and not self.violates(b, a)):
+                rule = rule[0][0]
+        self[pair] = rule
+        return rule
+
+
+_RULES: dict = {}  # (_pair_violates, _rewrite_pair) -> _RuleTable
+
+
 def normalize(op: Operator) -> Operator:
     """Rewrite every word into the canonical order: x-block (indices
     ascending), then d-block, then one sigma power per index, then at most
     one Theta symbol.  The action is preserved; like terms are collected.
 
     Each word is sorted by insertion, always rewriting its leftmost
-    violating pair.  The letters before a rewrite at k stay in order, so
-    the scan resumes at k - 1.  A word is a list of letters edited in
-    place; only a rule with several terms (d_i x_i) copies it, for each
-    branch but the last, and those branches wait on a stack.
-    _pair_violates and _rewrite_pair are read at call time and their
-    answer per letter pair is kept for this call only.  Every rule
-    coefficient is a power q^e: e is added to the word's exponent, which is
-    applied when the word is done.
+    violating pair, on letters interned as small int ids.  The rules live
+    in a _RuleTable kept for the process and keyed on the pair
+    (_pair_violates, _rewrite_pair) as read at call time, so patched rules
+    get their own table.  A letter that breaks the order slides left over
+    the plain swaps q^e b a, their exponents added as ints, and is moved
+    once; it stops at a pair in order, after which the scan goes on past
+    it, or at any other rule (a merge, or d_i x_i), which is applied there.
+    The letters before a rewrite at k stay in order, so the scan resumes at
+    k - 1.  Only a rule with several terms copies the word, for each branch
+    but the last, and those branches wait on a stack.  These are the
+    rewrites of the bubble loop that rescans from the first letter, in its
+    order.  Every rule coefficient is a power q^e: e is added to the word's
+    exponent, which is applied when the word is done.
     """
-    violates, rewrite = _pair_violates, _rewrite_pair
-    rules: dict[tuple, list | None] = {}
-
-    def rule(a, b):
-        # None when the pair is in order, else [(e, letters)] for q^e * letters.
-        if not violates(a, b):
-            return None
-        steps = []
-        for c, repl in rewrite(a, b):
-            e = next(iter(c.terms), 0)
-            if c.terms != {e: 1}:
-                raise ValueError(f"rule coefficient {c} is not a power of q")
-            steps.append((e, list(repl)))
-        return steps
-
+    key = (_pair_violates, _rewrite_pair)
+    rules = _RULES.get(key)
+    if rules is None:
+        rules = _RULES[key] = _RuleTable(*key)
+    intern = rules.intern
     out: dict[tuple, LaurentPoly] = {}
     stack = []
     for word, coeff in op.terms.items():
-        word = [g for g in word if not (g.kind == "T" and not any(g.mu))]
+        word = [intern(g) for g in word if not (g.kind == "T" and not any(g.mu))]
         stack.append((word, 0, 0, coeff))
     while stack:
         word, k, exp, coeff = stack.pop()
         while k < len(word) - 1:
-            pair = (word[k], word[k + 1])
-            steps = rules.get(pair, False)
-            if steps is False:
-                steps = rules[pair] = rule(*pair)
-            if steps is None:
+            rule = rules[word[k], word[k + 1]]
+            if rule is None:
                 k += 1
                 continue
+            if rule.__class__ is int:  # slide b left over the plain swaps
+                b, j = word[k + 1], k
+                exp += rule
+                while j:
+                    rule = rules[word[j - 1], b]
+                    if rule.__class__ is not int:
+                        break
+                    exp += rule
+                    j -= 1
+                else:
+                    rule = None
+                del word[k + 1]
+                word.insert(j, b)
+                if rule is None:  # letters 0..k + 1 are in order
+                    k += 1
+                    continue
+                k = j - 1  # a merge or d_i x_i at b
             back = k - 1 if k else 0
-            for e, repl in steps[:-1]:
+            for e, repl in rule[:-1]:
                 stack.append((word[:k] + repl + word[k + 2:], back, exp + e,
                               coeff))
-            e, repl = steps[-1]
+            e, repl = rule[-1]
             word[k:k + 2] = repl
             k, exp = back, exp + e
         accumulate(out, tuple(word), coeff.shift(exp))
-    return Operator._raw(op.n, out)
+    letter = rules.letters.__getitem__
+    return Operator._raw(op.n, {tuple(map(letter, w)): c for w, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

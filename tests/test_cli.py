@@ -40,6 +40,13 @@ def test_verify_high_degree(capsys):
     assert json.loads(out)["failed"] == 0
 
 
+def test_oracle_suite_above_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, ["verify", "lemma21", "--n", "4",
+                                  "--degree", "40"])
+    assert code == 2 and out == ""
+    assert "sweeps 135751 monomials, above the cap of 20000" in err
+
+
 def test_config_errors(capsys):
     code, _, err = run(capsys, ["verify", "weyl", "--n", "0"])
     assert code == 2

@@ -1,4 +1,6 @@
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -218,6 +220,21 @@ def test_lemma21_matches_its_reference(monkeypatch, broken):
         rep = lemma21_check(n, 5)
         assert rep.to_json() == reference_lemma21(n, 5).to_json()
         assert (rep.failed > 0) == (broken and n > 1)
+
+
+@pytest.mark.parametrize("check", [lemma21_check, classical_degeneration_check])
+def test_oracle_sweeps_above_the_cap_are_refused_at_once(check):
+    # C(84, 4) = 1929501 monomials would take minutes; the estimate is named
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidArgs, match="sweeps 1929501 monomials"):
+        check(4, 80)
+    assert time.perf_counter() - t0 < 1.0
+    # the cap sits between C(200, 2) = 19900 and C(201, 2) = 20100
+    assert comb(200, 2) <= uqrealize.ORACLE_MONOMIAL_CAP < comb(201, 2)
+    with pytest.raises(InvalidArgs, match="sweeps 20100 monomials"):
+        check(2, 199)
+    with pytest.raises(InvalidArgs, match="degree bound must be >= 0"):
+        check(2, -1)
 
 
 def test_report_json_shape():

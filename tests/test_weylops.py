@@ -170,6 +170,85 @@ def test_normalize_takes_the_d_x_branch_twice():
     assert op_eq_up_to_degree(op, nf, 5).equal
 
 
+def test_normalize_slides_a_letter_into_each_kind_of_rule():
+    one = LaurentPoly.one()
+    # s1^-1 slides over t(1,1) and s2, then s1 s1^-1 merges to the empty word
+    op = Operator.from_word(2, [X(1), D(2), S(1, 1), S(2, 1), T((1, 1)),
+                                S(1, -1)])
+    assert _same_normal_form(op).terms == {(X(1), D(2), S(2, 1), T((1, 1))): one}
+    # x1 and x2 slide under t(1,-1), which then merges with t(-1,1) to weight 0
+    op = Operator.from_word(2, [T((1, -1)), X(1), X(2), T((-1, 1))])
+    assert _same_normal_form(op).terms == {(X(1), X(2)): q_power(-2)}
+    # x1 slides over t(0,2), s2 and d2 before it meets d1, where d1 x1 branches
+    op = Operator.from_word(2, [D(1), D(2), S(2, 1), T((0, 2)), X(1)])
+    assert list(_same_normal_form(op).terms.items()) == [
+        ((D(2), S(1, -1), S(2, 1), T((0, 2))), q_power(1)),
+        ((X(1), D(1), D(2), S(2, 1), T((0, 2))), q_power(2))]
+    assert op_eq_up_to_degree(op, normalize(op), 4).equal
+    # the empty word, and a word of zero weights only, are the identity
+    for word in ([], [T((0, 0))], [T((0, 0)), T((0, 0))]):
+        op = Operator.from_word(2, word, q_power(3))
+        assert _same_normal_form(op).terms == {(): q_power(3)}
+
+
+def test_normalize_keeps_one_rule_table_per_pair_of_rule_functions(
+        monkeypatch):
+    # x-blocks in descending order: x_i x_j = q^-1 x_j x_i for i < j
+    violates, rewrite = weylops._pair_violates, weylops._rewrite_pair
+
+    def descending(a, b):
+        if a.kind == b.kind == "X":
+            return a.i < b.i
+        return violates(a, b)
+
+    def swap_down(a, b):
+        if a.kind == b.kind == "X":
+            return [(q_power(-1), (b, a))]
+        return rewrite(a, b)
+
+    op = Operator(2, {(X(1), X(2), D(1), X(1)): q_power(1),
+                      (X(2), X(1)): LaurentPoly.one()})
+    plain = _same_normal_form(op)
+    monkeypatch.setattr(weylops, "_pair_violates", descending)
+    monkeypatch.setattr(weylops, "_rewrite_pair", swap_down)
+    patched = _same_normal_form(op)
+    assert patched != plain
+    assert (X(2), X(1)) in patched.terms and (X(1), X(2)) in plain.terms
+    monkeypatch.undo()
+    assert list(_same_normal_form(op).terms.items()) == list(plain.terms.items())
+
+
+def test_normalize_follows_a_swap_whose_result_is_out_of_order(monkeypatch):
+    # Under these rules x2 x1 = q x1 x2 is a swap, but x1 x2 is out of order
+    # too and merges away, so x2 x1 is not a plain swap a letter slides over.
+    violates, rewrite = weylops._pair_violates, weylops._rewrite_pair
+
+    def both_ways(a, b):
+        return a.kind == b.kind == "X" and a.i != b.i or violates(a, b)
+
+    def merge_up(a, b):
+        if a.kind == b.kind == "X" and a.i < b.i:
+            return [(LaurentPoly.one(), ())]
+        return rewrite(a, b)
+
+    monkeypatch.setattr(weylops, "_pair_violates", both_ways)
+    monkeypatch.setattr(weylops, "_rewrite_pair", merge_up)
+    op = Operator.from_word(2, [X(2), X(1), S(1, 1)])
+    assert _same_normal_form(op).terms == {(S(1, 1),): q_power(1)}
+
+
+def test_to_json_hands_out_fresh_letters():
+    op = Operator.from_word(2, [X(1), S(2, -1), T((1, -1))])
+    first = op.to_json()
+    word = first["terms"][0]["word"]
+    word[0]["k"] = "D"
+    word[1]["e"] = 5
+    word[2]["mu"].append(7)
+    assert op.to_json()["terms"][0]["word"] == [
+        {"k": "X", "i": 1}, {"k": "S", "i": 2, "e": -1}, {"k": "T", "mu": [1, -1]}]
+    assert str(op) == "x1 s2^-1 t(1,-1)"
+
+
 def test_normalize_reads_the_rewrite_rules_at_call_time(monkeypatch):
     op = Operator.from_word(1, [D(1), X(1)])
     assert (S(1, -1),) in normalize(op).terms
