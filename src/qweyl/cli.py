@@ -21,8 +21,9 @@ from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
                       default_braid_word, lemma34_check,
                       positive_roots_in_convex_order, prop32_check,
                       theorem33_check)
-from .uqrealize import (build_realization, classical_degeneration_check,
-                        lemma21_check, root_op, verify_gl, verify_serre)
+from .uqrealize import (_oracle_monomials, build_realization,
+                        classical_degeneration_check, lemma21_check, root_op,
+                        verify_gl, verify_serre)
 from .weylops import (apply, decide, normalize, op_eq_up_to_degree,
                       verify_weyl_relations)
 
@@ -76,6 +77,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
+        _oracle_monomials("lemma21", args.n, args.degree)  # before any suite runs
         reports = []
         for name, (min_n, runner) in SUITES.items():
             if args.n < min_n:

@@ -8,13 +8,11 @@ algebra relations are encoded beyond merging adjacent K symbols.  All
 semantic claims, the rootvec command's agreement line included, are
 settled by weylops.decide, on q-difference forms when every side has one and
 by sweeping actions on monomials otherwise.  The braid checks act with
-rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time (_Twist), so the
-formal words of braid_root_vector are never expanded on their path: a
-twisted side's form is composed from the forms of the previous prefix, and
-its monomial action from the previous prefix's.  apply_formal of the
-expanded expression stays the reference the tests compare the twist
-against.  The monomial action serves only decide's refutation sweeps: a
-failing report, its counterexample and its ratio come from it.
+rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time (_Twist): a
+twisted side's form is composed from the previous prefix's forms without
+expanding words, and the side acts on monomials as its form does
+(weylops.form_apply).  Only a side with no form acts as apply_formal of its
+expansion, the reference the tests compare the twist against.
 """
 
 from __future__ import annotations
@@ -24,12 +22,12 @@ from typing import NamedTuple
 from .aqn import Element
 from .errors import InvalidArgs, InvalidIndex, NotDivisible, RankMismatch
 from .qindex import MultiIndex
-from .qring import LaurentPoly, accumulate, exact_div, q_int, q_power
+from .qring import exact_div, q_int, q_power
 from .report import VerificationReport
-from .uqrealize import (Realization, build_realization, cartan_matrix,
-                        diagonal_sigma_op, q_euler_eigenvalue, root_op)
-from .weylops import (Operator, QForm, Words, apply, decide, form_product,
-                      form_sum, operator_form, q_bracket)
+from .uqrealize import (Realization, build_realization, diagonal_sigma_op,
+                        q_euler_eigenvalue, root_op)
+from .weylops import (Operator, QForm, Words, apply, decide, form_apply,
+                      form_product, form_sum, operator_form, q_bracket)
 
 
 class UqSymbol(NamedTuple):
@@ -103,10 +101,9 @@ class FormalUq(Words):
 
 def _t_image(i: int, s: UqSymbol, ns: int) -> FormalUq:
     if s.kind == "K":
-        A = cartan_matrix(ns)
-        pairing = sum(A[i - 1][j] * s.v[j] for j in range(ns))
-        v = list(s.v)
-        v[i - 1] -= pairing
+        v = [0, *s.v, 0]  # the neighbours that v_1 and v_ns lack are 0
+        v[i] -= 2 * v[i] - v[i - 1] - v[i + 1]  # the type-A pairing
+        v = v[1:-1]
         return FormalUq.from_word(ns, [symK(v)] if any(v) else [])
     j = s.i
     if s.kind == "E":
@@ -161,30 +158,26 @@ def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
 
 
 class _Twist:
-    """The action of sigma_t = rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} on monomials,
-    for every prefix length t of one braid word, without expanding words,
-    and its q-difference forms (weylops.QForm).
+    """sigma_t = rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} for every prefix length t of
+    one braid word, as q-difference forms (weylops.QForm) composed without
+    expanding words.
 
     Each T_i is a word-multiplicative substitution (_t_image, read at call
     time), so sigma_t(s) = sum of c * sigma_{t-1}(w) over the terms (w, c)
-    of T_{i_t}(s), the letters of w applied right to left, and sigma_0(s)
-    is r.realize(s).  This is an identity of substitutions in the free
-    algebra and uses no U_q relation.  Two memos follow it: the monomial
-    one, on (t, symbol, exponent), holds dicts of exponent -> coefficient
-    filled only from the monomials actually reached; the form one, on
-    (t, symbol), holds sigma_t(symbol) as a sum of composed forms, reduced
-    by form_sum.  Both live as long as the instance, which serves one
-    check.  side(t, s) hands sigma_t(s) to decide, which proves it by its
-    form; the monomial memo is read only by the sweep decide runs when the
-    forms do not prove a relation, to refute it.
+    of T_{i_t}(s), a word's letters composed, and sigma_0(s) is
+    r.realize(s).  This is an identity of substitutions in the free algebra
+    and uses no U_q relation.  The form memo, on (t, symbol), holds
+    sigma_t(symbol) as a sum of composed forms, reduced by form_sum; a side
+    with no form acts through its expansion (_t_chain), memoized likewise.
+    Both live as long as the instance, which serves one check.
     """
 
     def __init__(self, r: Realization, word):
         self.r = r
         self.word = tuple(int(x) for x in word)
         self._images: dict[tuple, tuple] = {}
-        self._memo: dict[tuple, dict] = {}
         self._forms: dict[tuple, QForm | None] = {}
+        self._expansions: dict[tuple, FormalUq] = {}
 
     def side(self, t: int, s: UqSymbol) -> _TwistSide:
         """sigma_t(s) as a relation side for decide."""
@@ -215,30 +208,11 @@ class _Twist:
         self._forms[key] = form
         return form
 
-    def _sigma(self, t: int, s: UqSymbol, b: MultiIndex) -> dict:
-        key = (t, s, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if t == 0:
-            mono = Element._raw(self.r.n, {b: LaurentPoly.one()})
-            hit = apply(self.r.realize(s), mono).terms
-        else:
-            hit = {}
-            for w, c in self._image(self.word[t - 1], s):
-                cur = {b: c}
-                for letter in reversed(w):
-                    nxt: dict[MultiIndex, LaurentPoly] = {}
-                    for b1, c1 in cur.items():
-                        for b2, c2 in self._sigma(t - 1, letter, b1).items():
-                            accumulate(nxt, b2, c1 * c2)
-                    cur = nxt
-                    if not cur:
-                        break
-                for b1, c1 in cur.items():
-                    accumulate(hit, b1, c1)
-        self._memo[key] = hit
-        return hit
+    def expansion(self, t: int, s: UqSymbol) -> FormalUq:
+        """T_{i_1}...T_{i_t}(s), expanded by _t_chain."""
+        if (t, s) not in self._expansions:
+            self._expansions[t, s] = _t_chain(self.word, t, s, self.r.n)
+        return self._expansions[t, s]
 
     def _image(self, i: int, s: UqSymbol) -> tuple:
         key = (i, s)
@@ -250,19 +224,19 @@ class _Twist:
 
 
 class _TwistSide(NamedTuple):
-    """sigma_t(s) of one twist, its single handle: called on an Element it
-    acts through the monomial memo, and form() is its q-difference form."""
+    """sigma_t(s) of one twist, its single handle: form() is its q-difference
+    form, and called on an Element it acts as that form (form_apply), or,
+    when it has none, as apply_formal of its expansion."""
 
     twist: _Twist
     t: int
     s: UqSymbol
 
     def __call__(self, elem: Element) -> Element:
-        out: dict[MultiIndex, LaurentPoly] = {}
-        for beta, c in elem.terms.items():
-            for b, c2 in self.twist._sigma(self.t, self.s, beta).items():
-                accumulate(out, b, c * c2)
-        return Element._raw(elem.n, out)
+        form = self.form()
+        if form is not None:
+            return form_apply(form, elem)
+        return apply_formal(self.twist.expansion(self.t, self.s), self.twist.r, elem)
 
     def form(self) -> QForm | None:
         return self.twist.form(self.t, self.s)
@@ -344,7 +318,7 @@ def positive_roots_in_convex_order(word, nsimple: int) -> list[tuple[int, int]]:
     return roots
 
 
-# braid_root_vector refuses to expand an expression with more words than this.
+# _t_chain refuses to expand an expression with more words than this.
 BRAID_WORD_CAP = 65536
 
 
@@ -369,24 +343,29 @@ def _expansion_words(word, t: int, s: UqSymbol, ns: int, memo: dict) -> int:
     return memo[key]
 
 
+def _t_chain(word, t: int, s: UqSymbol, ns: int) -> FormalUq:
+    """T_{i_1}...T_{i_t}(s), expanded.  Raises InvalidArgs, before expanding
+    anything, when it would have more than BRAID_WORD_CAP words."""
+    expr = FormalUq.from_word(ns, [s])
+    words = _expansion_words(word, t, s, ns, {})
+    if words > BRAID_WORD_CAP:
+        raise InvalidArgs(f"{s} under the braid word prefix {list(word[:t])} expands "
+                          f"to {words} words, above the cap of {BRAID_WORD_CAP}")
+    for i in reversed(word[:t]):
+        expr = lusztig_T(i, expr)
+    return expr
+
+
 def braid_root_vector(p: int, word, sign: str, nsimple: int) -> FormalUq:
     """T_{i_1}...T_{i_{p-1}} applied to E (sign '+') or F (sign '-') of the
-    p-th letter.  Raises InvalidArgs, before expanding anything, when the
-    expansion would have more than BRAID_WORD_CAP words."""
+    p-th letter, expanded by _t_chain."""
     word = tuple(int(x) for x in word)
     if not 1 <= p <= len(word):
         raise InvalidIndex(f"prefix length {p} outside 1..{len(word)}")
     if sign not in ("+", "-"):
         raise InvalidArgs("sign must be '+' or '-'")
-    base = symE(word[p - 1]) if sign == "+" else symF(word[p - 1])
-    expr = FormalUq.from_word(nsimple, [base])
-    words = _expansion_words(word, p - 1, base, nsimple, {})
-    if words > BRAID_WORD_CAP:
-        raise InvalidArgs(f"braid root vector {p} of word {list(word)} expands "
-                          f"to {words} words, above the cap of {BRAID_WORD_CAP}")
-    for t in range(p - 2, -1, -1):
-        expr = lusztig_T(word[t], expr)
-    return expr
+    k = word[p - 1]
+    return _t_chain(word, p - 1, symE(k) if sign == "+" else symF(k), nsimple)
 
 
 # ---------------------------------------------------------------------------

@@ -568,7 +568,8 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 # of the composed actions, so form_sum and form_compose give the form of any
 # operator built from letters, however it is written: a word, an Operator,
 # or a braid twist (rootvec._Twist); each letter's fit is certified, so forms
-# are exact at every degree.  decide is the one entry: it proves a relation
+# are exact at every degree, and a side's action is its form read at
+# Q = q^beta (form_apply).  decide is the one entry: it proves a relation
 # when _difference has no terms, and sweeps only when it does not.
 
 _DEN = q_power(1) - q_power(-1)
@@ -831,6 +832,22 @@ def form_product(forms, n: int) -> QForm:
     for form in reversed(forms[:-1]):
         out = form_compose(form, out)
     return out
+
+
+def form_apply(form: QForm, elem: Element) -> Element:
+    """The action form describes: x^(beta) goes to N(q, q^beta) / (q - q^-1)^k
+    times x^(beta + delta) for each shift delta, dropping the shifts that
+    leave N^n; exact_div divides, and raises NotDivisible rather than round."""
+    out: dict[tuple, LaurentPoly] = {}
+    for beta, c in elem.terms.items():
+        for delta, (k, num) in form.terms.items():
+            b = tuple(map(add, beta, delta))
+            if min(b, default=0) < 0:
+                continue
+            value = sum((x.shift(sum(map(mul, Q, beta))) for Q, x in num.items()),
+                        LaurentPoly.zero())
+            accumulate(out, b, c * exact_div(value, _DEN ** k))
+    return Element._raw(elem.n, {MultiIndex(b): c for b, c in out.items()})
 
 
 _FIT_ROWS: dict = {}  # (letter, n) -> {g: (*_fit(letter, g, n), any(m))}

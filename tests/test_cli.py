@@ -47,6 +47,15 @@ def test_oracle_suite_above_the_cap_exits_2(capsys):
     assert "sweeps 135751 monomials, above the cap of 20000" in err
 
 
+def test_verify_all_checks_the_oracle_cap_first(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "verify_weyl_relations", lambda *args: ran.append(args))
+    code, out, err = run(capsys, ["verify", "all", "--n", "10", "--degree", "10"])
+    assert code == 2 and out == "" and not ran
+    assert err == ("error: lemma21 at n=10, degree 10 sweeps 184756 monomials, "
+                   "above the cap of 20000\n")
+
+
 def test_config_errors(capsys):
     code, _, err = run(capsys, ["verify", "weyl", "--n", "0"])
     assert code == 2

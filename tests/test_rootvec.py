@@ -15,7 +15,7 @@ from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
                            lusztig_T, positive_roots_in_convex_order,
                            prop32_check, root_op, symE, symF, symK,
                            theorem33_check)
-from qweyl.uqrealize import Realization, build_realization
+from qweyl.uqrealize import Realization, build_realization, cartan_matrix
 from qweyl.weylops import Operator, apply, compose, op_eq_up_to_degree, q_bracket
 
 from helpers import reduced_longest_words
@@ -92,6 +92,22 @@ def test_lusztig_T_rules():
     assert lusztig_T(2, k) == FormalUq.from_word(2, [symK((1, 1))])
     with pytest.raises(InvalidIndex):
         lusztig_T(3, E_(2, 1))
+
+
+def test_k_image_reads_the_cartan_pairing():
+    # T_i(K^v) = K^(v - <A_i, v> alpha_i), A_i the i-th row of the Cartan
+    # matrix; _t_image reads the pairing without building the matrix
+    for n in range(1, 7):
+        A = cartan_matrix(n)
+        vs = [tuple(MultiIndex.unit(n, k)) for k in range(1, n + 1)]
+        vs += [tuple(range(1, n + 1)), tuple((-1) ** k * (k + 2) for k in range(n)),
+               (3,) * n, tuple(k % 3 - 1 for k in range(n))]
+        for i in range(1, n + 1):
+            for v in vs:
+                w = list(v)
+                w[i - 1] -= sum(A[i - 1][j] * v[j] for j in range(n))
+                want = FormalUq.from_word(n, [symK(w)] if any(w) else [])
+                assert rootvec._t_image(i, symK(v), n) == want, (n, i, v)
 
 
 def test_formal_uq_canonical_form():

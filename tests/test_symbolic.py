@@ -16,6 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qweyl import cli, rootvec, weylops
+from qweyl.aqn import Element, monomials_up_to
+from qweyl.errors import InvalidArgs
+from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_power
 from qweyl.report import VerificationReport
 from qweyl.rootvec import (_Twist, braid_relation_check, default_braid_word,
@@ -132,6 +135,31 @@ def test_symbolic_equal_matches_sweep(case):
         assert op_eq_up_to_degree(a, b, 6, den)
     else:
         assert not op_eq_up_to_degree(a, b, certificate_degree(a, b, den), den)
+
+
+def assert_form_applies_as_operator(op, degree):
+    form = weylops.operator_form(op)
+    assert form is not None
+    for beta in monomials_up_to(op.n, degree):
+        mono = Element.monomial(beta)
+        assert weylops.form_apply(form, mono) == apply(op, mono), (op, beta)
+
+
+@settings(max_examples=120, deadline=None)
+@given(operator_pairs())
+def test_form_applies_as_its_operator(case):
+    # a form read at Q = q^beta, its shifts outside N^n dropped, is the action
+    _, a, b, _ = case
+    for op in (a, b):
+        assert_form_applies_as_operator(op, 4)
+
+
+def test_form_applies_as_root_operators_and_generators():
+    n = 3
+    r = build_realization(n)
+    ops = [root_op(i, j, n) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+    for op in ops + [*r.e, *r.f, *r.K, *r.K_inv]:
+        assert_form_applies_as_operator(op, 3)
 
 
 def d_carries_two(g, b):
@@ -456,11 +484,11 @@ def test_benchmark_traffic_is_decided_by_forms(monkeypatch):
     # a change that sends it back to sweeps fails here.  The twist's
     # monomial action is counted too: only a sweep reads it.
     swept = []
-    sweep, sigma = weylops.sweep_actions, rootvec._Twist._sigma
+    sweep, act = weylops.sweep_actions, rootvec._TwistSide.__call__
     monkeypatch.setattr(weylops, "sweep_actions",
                         lambda *args: swept.append(args) or sweep(*args))
-    monkeypatch.setattr(rootvec._Twist, "_sigma",
-                        lambda *args: swept.append(args) or sigma(*args))
+    monkeypatch.setattr(rootvec._TwistSide, "__call__",
+                        lambda *args: swept.append(args) or act(*args))
     for n, degree in ((5, 4), (2, 24)):
         for suite in ("weyl", "serre", "gl", "prop32", "lemma34"):
             assert SUITES[suite](n, degree).failed == 0
@@ -534,3 +562,48 @@ def test_letter_fault_reached_only_through_a_twist(monkeypatch, suite):
     assert rep["failed"] > 0
     forms_off(monkeypatch)
     assert SUITES[suite](n, d).to_json() == rep
+
+
+def test_formless_twist_side_acts_as_its_expansion(monkeypatch):
+    # the fault of test_letter_fault_reached_only_through_a_twist: sides
+    # through sigma_1 have no form and act as apply_formal of their
+    # expansion, which reads the patched letter
+    n, word = 2, default_braid_word(2)
+    r = build_realization(n)
+    monos = [Element.monomial(beta) for beta in monomials_up_to(n, 4)]
+    sides = [(p, sign) for p in range(1, len(word) + 1) for sign in "+-"]
+    clean = _Twist(r, word)
+    before = {(p, sign, m): clean.root_vector(p, sign)(m)
+              for p, sign in sides for m in monos}
+    orig = weylops._letter
+
+    def bad_letter(g, b):
+        hit = orig(g, b)
+        if g == S(1, 1) and tuple(b) == (3, 1):
+            return hit[0], hit[1] + 1, hit[2]
+        return hit
+
+    monkeypatch.setattr(weylops, "_letter", bad_letter)
+    twist = _Twist(r, word)
+    formless = differs = 0
+    for p, sign in sides:
+        side = twist.root_vector(p, sign)
+        expr = rootvec.braid_root_vector(p, word, sign, n)
+        formless += side.form() is None
+        for m in monos:
+            got = side(m)
+            assert got == rootvec.apply_formal(expr, r, m), (p, sign, m)
+            differs += got != before[p, sign, m]
+    assert formless and differs
+
+
+def test_formless_twist_side_refuses_a_long_expansion(monkeypatch):
+    # prefix 9 of the default n = 4 word expands to 2^33 words: a side with
+    # no form names the count and expands nothing
+    forms_off(monkeypatch)
+    monkeypatch.setattr(rootvec, "lusztig_T", None)
+    twist = _Twist(build_realization(4), default_braid_word(4))
+    side = twist.root_vector(9, "+")
+    assert side.form() is None
+    with pytest.raises(InvalidArgs, match="8589934592 words"):
+        side(Element.monomial(MultiIndex.zero(4)))
