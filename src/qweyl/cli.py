@@ -17,10 +17,9 @@ from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, QweylError
 from .exprparse import parse_element, parse_operator
 from .report import RelationResult, VerificationReport
-from .rootvec import (_Twist, braid_relation_check, braid_root_vector,
-                      default_braid_word, lemma34_check,
-                      positive_roots_in_convex_order, prop32_check,
-                      theorem33_check)
+from .rootvec import (_Twist, braid_relation_check, default_braid_word,
+                      lemma34_check, positive_roots_in_convex_order,
+                      prop32_check, theorem33_check)
 from .uqrealize import (_oracle_monomials, build_realization,
                         classical_degeneration_check, lemma21_check, root_op,
                         verify_gl, verify_serre)
@@ -151,10 +150,10 @@ def _cmd_rootvec(args) -> int:
     sign = "+" if i < j else "-"
     op = root_op(i, j, n)
     nf = normalize(op)
-    expr = braid_root_vector(p, word, sign, n)
-    twist = _Twist(build_realization(n), word)
+    side = _Twist(build_realization(n), word).root_vector(p, sign)
+    expr = side.expansion()
     agreement = decide(VerificationReport("rootvec", n, args.degree), "agreement",
-                       twist.root_vector(p, sign), op).equal
+                       side, op).equal
     table = []
     for beta in monomials_up_to(n, min(args.degree, 3)):
         value = apply(op, Element.monomial(beta))

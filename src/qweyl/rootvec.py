@@ -8,15 +8,17 @@ algebra relations are encoded beyond merging adjacent K symbols.  All
 semantic claims, the rootvec command's agreement line included, are
 settled by weylops.decide, on q-difference forms when every side has one and
 by sweeping actions on monomials otherwise.  The braid checks act with
-rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} one braid letter at a time (_Twist): a
-twisted side's form is composed from the previous prefix's forms without
-expanding words, and the side acts on monomials as its form does
-(weylops.form_apply).  Only a side with no form acts as apply_formal of its
-expansion, the reference the tests compare the twist against.
+rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} through a twist (_Twist), whose one loop
+builds each prefix's values from the previous prefix's without recursion:
+forms, composed without expanding words, that act through
+weylops.form_apply; and word counts and the expansions braid_root_vector
+returns.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import prod
 from typing import NamedTuple
 
 from .aqn import Element
@@ -157,26 +159,25 @@ def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
     return total
 
 
+# _Twist.expansion refuses to expand an expression with more words than this.
+BRAID_WORD_CAP = 65536
+
+
 class _Twist:
     """sigma_t = rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} for every prefix length t of
-    one braid word, as q-difference forms (weylops.QForm) composed without
-    expanding words.
-
-    Each T_i is a word-multiplicative substitution (_t_image, read at call
-    time), so sigma_t(s) = sum of c * sigma_{t-1}(w) over the terms (w, c)
-    of T_{i_t}(s), a word's letters composed, and sigma_0(s) is
-    r.realize(s).  This is an identity of substitutions in the free algebra
-    and uses no U_q relation.  The form memo, on (t, symbol), holds
-    sigma_t(symbol) as a sum of composed forms, reduced by form_sum; a side
-    with no form acts through its expansion (_t_chain), memoized likewise.
-    Both live as long as the instance, which serves one check.
-    """
+    one braid word, read as q-difference forms (weylops.QForm), as word
+    counts, or as expansions.  Each T_i is a word-multiplicative substitution
+    (_t_image, read at call time), so V_t(s) = sum of c * prod V_{t-1}(l)
+    over the terms (w, c) of T_{i_t}(s) and the letters l of w, an identity
+    of free-algebra substitutions.  _fill builds each reading by this rule
+    into its own memo on (t, symbol); an instance serves one check."""
 
     def __init__(self, r: Realization, word):
         self.r = r
         self.word = tuple(int(x) for x in word)
         self._images: dict[tuple, tuple] = {}
         self._forms: dict[tuple, QForm | None] = {}
+        self._counts: dict[tuple, int] = {}
         self._expansions: dict[tuple, FormalUq] = {}
 
     def side(self, t: int, s: UqSymbol) -> _TwistSide:
@@ -190,43 +191,74 @@ class _Twist:
 
     def form(self, t: int, s: UqSymbol) -> QForm | None:
         """The form of sigma_t(s); None when a realized letter has no fit."""
-        key = (t, s)
-        if key in self._forms:
-            return self._forms[key]
-        form = None
-        if t == 0:
-            form = operator_form(self.r.realize(s))
-        else:
-            parts = []
-            for w, c in self._image(self.word[t - 1], s):
-                factors = [self.form(t - 1, letter) for letter in w]
-                if None in factors:
-                    break
-                parts.append((c, form_product(factors, self.r.n)))
-            else:
-                form = form_sum(parts)
-        self._forms[key] = form
-        return form
+        return self._fill(self._forms, t, s,
+                          lambda x: operator_form(self.r.realize(x)), self._form_sum)
+
+    def word_count(self, t: int, s: UqSymbol) -> int:
+        """Words of T_{i_1}...T_{i_t}(s) before like terms are collected."""
+        return self._fill(self._counts, t, s, lambda x: 1,
+                          lambda img, v: sum(prod(map(v, w)) for w in img.terms))
 
     def expansion(self, t: int, s: UqSymbol) -> FormalUq:
-        """T_{i_1}...T_{i_t}(s), expanded by _t_chain."""
-        if (t, s) not in self._expansions:
-            self._expansions[t, s] = _t_chain(self.word, t, s, self.r.n)
-        return self._expansions[t, s]
+        """T_{i_1}...T_{i_t}(s), expanded.  Raises InvalidArgs, before
+        expanding anything, when it would have more than BRAID_WORD_CAP words."""
+        words, prefix = self.word_count(t, s), list(self.word[:t])
+        if words > BRAID_WORD_CAP:
+            raise InvalidArgs(f"{s} under the braid word prefix {prefix} expands to "
+                              f"{words} words, above the cap of {BRAID_WORD_CAP}")
+        n = self.r.n
+        return self._fill(self._expansions, t, s, lambda x: FormalUq.from_word(n, [x]),
+                          lambda img, v: img.substitute(v, FormalUq.identity(n)))
+
+    def _form_sum(self, img: FormalUq, v) -> QForm | None:
+        factors = [(c, list(map(v, w))) for w, c in img.terms.items()]
+        if any(None in f for _, f in factors):
+            return None
+        return form_sum([(c, form_product(f, self.r.n)) for c, f in factors])
+
+    def _fill(self, memo: dict, t: int, s: UqSymbol, leaf, combine):
+        """memo[t, s], with every entry it rests on: memo[0, x] is leaf(x),
+        and memo[u, x] is combine(T_{i_u}(x), v), v reading memo[u - 1, .],
+        or memo[u - 1, l] itself when T_{i_u}(x) is the one letter l.  The
+        missing keys are collected from t down and built from 0 up."""
+        if (t, s) in memo:
+            return memo[t, s]
+        levels = [{s: None}]  # levels[k]: the symbols to build at t - k
+        for u in range(t, 0, -1):
+            above, below = levels[-1], {}
+            for x in above:
+                above[x] = img = self._image(self.word[u - 1], x)
+                for l in chain.from_iterable(img[0].terms):
+                    if (u - 1, l) not in memo:
+                        below[l] = None
+            if not below:
+                break
+            levels.append(below)
+        for u in range(t + 1 - len(levels), t + 1):
+            for x, img in levels[t - u].items():
+                if u == 0:
+                    memo[0, x] = leaf(x)
+                elif img[1] is not None:
+                    memo[u, x] = memo[u - 1, img[1]]
+                else:
+                    memo[u, x] = combine(img[0], lambda l: memo[u - 1, l])
+        return memo[t, s]
 
     def _image(self, i: int, s: UqSymbol) -> tuple:
-        key = (i, s)
-        img = self._images.get(key)
-        if img is None:
-            img = self._images[key] = tuple(
-                _t_image(i, s, self.r.n).terms.items())
-        return img
+        # (T_i(s), l) when T_i(s) is 1 * the one letter l, else (T_i(s), None)
+        if (i, s) not in self._images:
+            expr = _t_image(i, s, self.r.n)
+            (w, c), *more = expr.terms.items()
+            same = w[0] if not more and len(w) == 1 and c == 1 else None
+            self._images[i, s] = (expr, same)
+        return self._images[i, s]
 
 
 class _TwistSide(NamedTuple):
     """sigma_t(s) of one twist, its single handle: form() is its q-difference
-    form, and called on an Element it acts as that form (form_apply), or,
-    when it has none, as apply_formal of its expansion."""
+    form, expansion() its expansion, and called on an Element it acts as that
+    form (form_apply), or, when it has none, as apply_formal of its
+    expansion."""
 
     twist: _Twist
     t: int
@@ -236,10 +268,13 @@ class _TwistSide(NamedTuple):
         form = self.form()
         if form is not None:
             return form_apply(form, elem)
-        return apply_formal(self.twist.expansion(self.t, self.s), self.twist.r, elem)
+        return apply_formal(self.expansion(), self.twist.r, elem)
 
     def form(self) -> QForm | None:
         return self.twist.form(self.t, self.s)
+
+    def expansion(self) -> FormalUq:
+        return self.twist.expansion(self.t, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -318,54 +353,17 @@ def positive_roots_in_convex_order(word, nsimple: int) -> list[tuple[int, int]]:
     return roots
 
 
-# _t_chain refuses to expand an expression with more words than this.
-BRAID_WORD_CAP = 65536
-
-
-def _expansion_words(word, t: int, s: UqSymbol, ns: int, memo: dict) -> int:
-    """Words of T_{i_1}...T_{i_t}(s) before like terms are collected: 1 at
-    t = 0, else the sum over the terms of T_{i_t}(s) of the product of the
-    letters' counts at t - 1."""
-    if t == 0:
-        return 1
-    key = (t, s)
-    if key not in memo:
-        i = word[t - 1]
-        if not 1 <= i <= ns:
-            raise InvalidIndex(f"index {i} outside 1..{ns}")
-        total = 0
-        for w in _t_image(i, s, ns).terms:
-            prod = 1
-            for letter in w:
-                prod *= _expansion_words(word, t - 1, letter, ns, memo)
-            total += prod
-        memo[key] = total
-    return memo[key]
-
-
-def _t_chain(word, t: int, s: UqSymbol, ns: int) -> FormalUq:
-    """T_{i_1}...T_{i_t}(s), expanded.  Raises InvalidArgs, before expanding
-    anything, when it would have more than BRAID_WORD_CAP words."""
-    expr = FormalUq.from_word(ns, [s])
-    words = _expansion_words(word, t, s, ns, {})
-    if words > BRAID_WORD_CAP:
-        raise InvalidArgs(f"{s} under the braid word prefix {list(word[:t])} expands "
-                          f"to {words} words, above the cap of {BRAID_WORD_CAP}")
-    for i in reversed(word[:t]):
-        expr = lusztig_T(i, expr)
-    return expr
-
-
 def braid_root_vector(p: int, word, sign: str, nsimple: int) -> FormalUq:
     """T_{i_1}...T_{i_{p-1}} applied to E (sign '+') or F (sign '-') of the
-    p-th letter, expanded by _t_chain."""
+    p-th letter, expanded by _Twist.expansion."""
     word = tuple(int(x) for x in word)
     if not 1 <= p <= len(word):
         raise InvalidIndex(f"prefix length {p} outside 1..{len(word)}")
     if sign not in ("+", "-"):
         raise InvalidArgs("sign must be '+' or '-'")
-    k = word[p - 1]
-    return _t_chain(word, p - 1, symE(k) if sign == "+" else symF(k), nsimple)
+    if not all(1 <= i <= nsimple for i in word[:p]):
+        raise InvalidIndex(f"braid letters {list(word[:p])} outside 1..{nsimple}")
+    return _Twist(build_realization(nsimple), word).root_vector(p, sign).expansion()
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +483,7 @@ def theorem33_check(n: int, degree: int, word=None,
     to exactly the corresponding root operator: the positive vector at the
     convex-order slot of eps_a - eps_b matches root_op(a, b), the negative
     one matches root_op(b, a).  The vectors act through one twist along the
-    word, shared by all of them; braid_root_vector and apply_formal are the
-    expanded reference the twist is tested against."""
+    word, shared by all of them."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
     if word is None:

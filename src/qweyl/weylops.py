@@ -678,7 +678,8 @@ def _certified(letter, g: GenSymbol, n: int, form: _LetterForm) -> bool:
     first, at most 64 times.  A path that forces b_j = 0 where
     delta_j = -1 must return None; any other must exclude each such b_j = 0
     and return (b + delta, s0 + s.b, m0 + m.b) on every b it allows.
-    Anything else, or any exception, leaves the letter uncertified."""
+    Anything else, or any exception but RecursionError and MemoryError
+    (which propagate, so _fit caches no refusal), leaves it uncertified."""
     pending: list = [[]]
     for _ in range(64):
         path = _Path(n, pending.pop(), pending)
@@ -686,6 +687,8 @@ def _certified(letter, g: GenSymbol, n: int, form: _LetterForm) -> bool:
         try:
             if not _on_path(path, b, letter(g, b), form):
                 return False
+        except (RecursionError, MemoryError):  # the process's limits, not the letter's
+            raise
         except Exception:  # anything the letter cannot do on _Syms
             return False
         if not pending:

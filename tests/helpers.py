@@ -12,7 +12,8 @@ from qweyl.errors import InvalidArgs
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, accumulate, q_int
 from qweyl.report import VerificationReport
-from qweyl.rootvec import positive_roots_in_convex_order
+from qweyl.rootvec import (FormalUq, lusztig_T, positive_roots_in_convex_order,
+                           symE, symF)
 from qweyl.weylops import D, Operator, QForm, S, T, X, _fit, apply
 
 REAL_LETTER = weylops._letter
@@ -127,6 +128,17 @@ def reduced_longest_words(n):
             continue
         out.append(word)
     return out
+
+
+def reference_braid_vector(p, word, sign, n):
+    """The top-down loop rootvec's iterative fill replaced: E (sign '+') or
+    F (sign '-') of the p-th letter, with lusztig_T applied for each earlier
+    letter, the (p-1)-th first.  braid_root_vector must return the same."""
+    k = word[p - 1]
+    expr = FormalUq.from_word(n, [symE(k) if sign == "+" else symF(k)])
+    for i in reversed(word[:p - 1]):
+        expr = lusztig_T(i, expr)
+    return expr
 
 
 def reference_word_form(letter, word, coeff, n):

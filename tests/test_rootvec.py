@@ -8,7 +8,7 @@ from qweyl.errors import InvalidArgs, InvalidIndex, RankMismatch
 from qweyl.qindex import MultiIndex
 from qweyl.qring import LaurentPoly, q_int, q_power
 from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
-                           _expansion_words, apply_formal,
+                           apply_formal,
                            braid_relation_check, braid_root_vector,
                            closed_form_root_action, default_braid_word,
                            evaluate, lemma34_check,
@@ -18,7 +18,7 @@ from qweyl.rootvec import (BRAID_WORD_CAP, FormalUq, UqSymbol, _Twist,
 from qweyl.uqrealize import Realization, build_realization, cartan_matrix
 from qweyl.weylops import Operator, apply, compose, op_eq_up_to_degree, q_bracket
 
-from helpers import reduced_longest_words
+from helpers import reduced_longest_words, reference_braid_vector
 
 
 def mono(*entries):
@@ -366,16 +366,20 @@ def test_twist_reads_t_image_at_call_time(monkeypatch):
 
 
 def test_word_count_matches_expansion_on_every_reduced_word():
-    for n in (1, 2, 3):
-        for word in reduced_longest_words(n):
-            for p in range(1, len(word) + 1):
-                for sign, base in (("+", symE(word[p - 1])),
-                                   ("-", symF(word[p - 1]))):
-                    count = _expansion_words(word, p - 1, base, n, {})
-                    expr = braid_root_vector(p, word, sign, n)
-                    assert count == len(expr.terms), (word, p, sign)
+    cases = [(n, word, len(word)) for n in (1, 2, 3)
+             for word in reduced_longest_words(n)]
+    cases.append((4, default_braid_word(4), 8))
+    for n, word, top in cases:
+        twist = _Twist(build_realization(n), word)
+        for p in range(1, top + 1):
+            for sign, base in (("+", symE(word[p - 1])),
+                               ("-", symF(word[p - 1]))):
+                count = twist.word_count(p - 1, base)
+                expr = braid_root_vector(p, word, sign, n)
+                assert count == len(expr.terms), (word, p, sign)
+                assert expr == reference_braid_vector(p, word, sign, n), (word, p, sign)
     # prefix 9 of the default n = 4 word is refused before expanding
-    assert _expansion_words(default_braid_word(4), 8, symE(2), 4, {}) \
+    assert _Twist(build_realization(4), default_braid_word(4)).word_count(8, symE(2)) \
         == 2 ** 33 > BRAID_WORD_CAP
     with pytest.raises(InvalidArgs, match="8589934592 words"):
         braid_root_vector(9, default_braid_word(4), "+", 4)

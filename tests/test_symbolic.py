@@ -8,6 +8,7 @@ short-circuit.
 
 import contextlib
 import io
+import sys
 from itertools import product
 from operator import add, mul
 
@@ -311,6 +312,54 @@ def test_seeded_faults_are_uncertified(letter, g, n):
     assert weylops._fit(letter, g, n) is None
 
 
+def stack_depth():
+    """The recursion depth here as the recursion limit counts it, which can
+    exceed the Python frames on the stack: the lowest limit that can be set."""
+    limit, depth = sys.getrecursionlimit(), 1
+    while True:
+        try:
+            sys.setrecursionlimit(depth)
+        except RecursionError:
+            depth += 1
+            continue
+        sys.setrecursionlimit(limit)
+        return depth
+
+
+def test_fit_near_the_stack_limit_raises_or_fits():
+    # A RecursionError inside _certified propagates, so _fit caches no
+    # refusal that the stack's depth caused.
+    g, n = S(3, 7), 5
+    want = weylops._fit(weylops._letter, g, n)
+    assert want is not None
+    limit = sys.getrecursionlimit()
+    for headroom in range(5, 21):
+        weylops._fit.cache_clear()
+        sys.setrecursionlimit(stack_depth() + headroom)
+        try:
+            got = weylops._fit(weylops._letter, g, n)
+        except RecursionError:
+            got = want
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want, headroom
+        assert weylops._fit(weylops._letter, g, n) == want, headroom
+
+
+def test_theorem33_needs_no_stack_per_word_letter(monkeypatch):
+    # the default n = 12 word has 78 letters, more than the 60 frames of
+    # headroom, and every letter's fit is made afresh near that limit
+    monkeypatch.setattr(weylops, "_FIT_ROWS", {})
+    weylops._fit.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        rep = theorem33_check(12, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(rep.relations) == 156 and rep.failed == 0
+
+
 def test_path_cap_is_sixty_four():
     assert weylops._fit(branches(63), X(1), 1) is not None
     assert weylops._fit(branches(64), X(1), 1) is None
@@ -601,7 +650,7 @@ def test_formless_twist_side_refuses_a_long_expansion(monkeypatch):
     # prefix 9 of the default n = 4 word expands to 2^33 words: a side with
     # no form names the count and expands nothing
     forms_off(monkeypatch)
-    monkeypatch.setattr(rootvec, "lusztig_T", None)
+    monkeypatch.setattr(rootvec.FormalUq, "substitute", None)
     twist = _Twist(build_realization(4), default_braid_word(4))
     side = twist.root_vector(9, "+")
     assert side.form() is None
