@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import comb
 
 from .aqn import Element, monomials_up_to
 from .errors import InvalidArgs, QweylError
@@ -116,9 +117,23 @@ def _cmd_act(args) -> int:
     return 0
 
 
+# normalize --check applies every word of the operator and of its normal
+# form to every monomial of degree <= --degree, at about 10 us per word
+# application; above this many it is refused instead of left to run for minutes.
+NORMALIZE_CHECK_CAP = 200000
+
+
 def _cmd_normalize(args) -> int:
     op = parse_operator(args.op, args.n)
     nf = normalize(op)
+    if args.check:
+        monomials = comb(args.n + args.degree, args.n)
+        words = len(op.terms) + len(nf.terms)
+        if monomials * words > NORMALIZE_CHECK_CAP:
+            raise InvalidArgs(
+                f"normalize --check at n={args.n}, degree {args.degree} applies "
+                f"{monomials * words} words ({words} words on each of {monomials} "
+                f"monomials), above the cap of {NORMALIZE_CHECK_CAP}")
     lines = []
     if args.format == "json":
         lines.append(json.dumps(nf.to_json()))

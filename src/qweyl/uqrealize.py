@@ -16,8 +16,8 @@ from .errors import InvalidArgs, InvalidIndex, RankMismatch
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
 from .report import VerificationReport
-from .weylops import (D, Operator, S, T, X, apply_at_one, compose, decide,
-                      normalize, q_bracket)
+from .weylops import (D, Operator, S, T, X, at_one, compose, decide, normalize,
+                      q_bracket)
 
 
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -31,18 +31,18 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 def q_euler_eigenvalue(beta: MultiIndex) -> LaurentPoly:
     """Eigenvalue of the twisted Euler operator sum_k x_k d_k Theta(eps_k):
-    sum_k theta(eps_k, beta) [beta_k]."""
-    n = beta.n
-    total = LaurentPoly.zero()
-    degree = beta.degree()
+    sum_k theta(eps_k, beta) [beta_k].  theta(eps_k, beta) = q^(prefix -
+    suffix) around beta_k, so the k-th term is q^(2 prefix - |beta| + 2 beta_k
+    - 1 - 2t) summed over t < beta_k; the exponents are counted in one dict."""
+    degree = sum(beta)
+    counts: dict[int, int] = {}
     prefix = 0
-    for k in range(n):
-        bk = beta[k]
-        # theta(eps_{k+1}, beta) = q^(prefix - suffix)
-        exp = prefix - (degree - prefix - bk)
-        total = total + q_int(bk).shift(exp)
+    for bk in beta:
+        top = 2 * prefix - degree + 2 * bk - 1
+        for exp in range(top, top - 2 * bk, -2):
+            counts[exp] = counts.get(exp, 0) + 1
         prefix += bk
-    return total
+    return LaurentPoly(counts)
 
 
 def diagonal_sigma_op(n: int, exponents) -> Operator:
@@ -301,7 +301,9 @@ def lemma21_check(n: int, max_degree: int = 5) -> VerificationReport:
     """The twisted Euler eigenvalue is invariant under lattice shifts along
     eps_i - eps_{i+1}: checked exactly over the whole (beta, i, |m| <= 3) grid.
     It compares eigenvalues, not operator actions, so it records through
-    its own (beta, i, m) counterexample rather than through decide."""
+    its own (beta, i, m) counterexample rather than through decide.  Each
+    eigenvalue is computed once; when they are constant on each degree
+    class, every shift passes without a sweep, since a shift keeps |beta|."""
     if n < 1:
         raise InvalidArgs("n must be >= 1")
     _oracle_monomials("lemma21", n, max_degree)
@@ -310,6 +312,13 @@ def lemma21_check(n: int, max_degree: int = 5) -> VerificationReport:
     # a step eps_i - eps_{i+1} keeps the degree, so every nonnegative
     # shifted beta is itself a key
     eigen = {beta: q_euler_eigenvalue(beta) for beta in betas}
+    by_degree: dict[int, LaurentPoly] = {}
+    if all(by_degree.setdefault(sum(beta), e) == e for beta, e in eigen.items()):
+        # every shift keeps |beta|, so each compares two equal values
+        for i in range(1, n):
+            for m in range(-3, 4):
+                rep.record(f"shift:i={i},m={m}", None)
+        return rep
     for i in range(1, n):
         for m in range(-3, 4):
             fail = None
@@ -374,8 +383,9 @@ def classical_degeneration_check(n: int, degree: int) -> VerificationReport:
     betas = monomials_up_to(n, degree)
     for rel_id, kind, i, op in gens:
         fail = None
+        act = at_one(op)
         for beta in betas:
-            quantum = apply_at_one(op, beta)
+            quantum = act(beta)
             classical = _classical_action(kind, i, beta)
             if quantum != classical:
                 fail = {"beta": beta.to_json(),

@@ -285,27 +285,88 @@ def apply(op: Operator, elem: Element) -> Element:
 
 
 def apply_at_one(op: Operator, beta: tuple) -> dict[tuple, int]:
-    """apply(op, x^(beta)) specialized at q = 1, on ints: {b: nonzero int}.
+    """apply(op, x^(beta)) specialized at q = 1, on ints: {b: nonzero int};
+    at_one(op)(beta), so _letter is read at call time."""
+    return at_one(op)(beta)
 
-    Each word is folded through _letter as in apply, but the shifts are
-    dropped and the ms multiplied into coeff.eval_at_one(); evaluating at
-    q = 1 is a ring map, so this is exact.
+
+def at_one(op: Operator):
+    """beta -> apply(op, x^(beta)) specialized at q = 1: {b: nonzero int}.
+
+    _letter is read once, here.  A word whose letters all have certified
+    fits (see _fit) is read once from them, right to left: at b = beta +
+    delta a letter lowering b_j kills exactly at b_j = 0, so the word kills
+    x^(beta) iff some beta_j is below its floor, and otherwise sends it to
+    coeff(1) times its affine factors m0 + m.beta, at beta plus its shift;
+    floors and factors keep only their nonzero coordinates.  A word with an
+    uncertified letter is folded through _letter on each call, as apply
+    folds it.  The q-shifts are dropped and [m] is m at q = 1: evaluating
+    at q = 1 is a ring map, so this is exact.
     """
-    if op.n != len(beta):
-        raise RankMismatch(f"operator rank {op.n}, exponent rank {len(beta)}")
-    out: dict[tuple, int] = {}
+    letter, n = _letter, op.n
+    rows = _FIT_ROWS.setdefault((letter, n), {})
+    fitted = []  # (floors, shift or None, coeff(1) times constant factors, factors)
+    folded = []  # (reversed word, coeff(1))
     for word, coeff in op.terms.items():
-        b = beta
         v = coeff.eval_at_one()
+        if not v:
+            continue  # a word that is 0 at q = 1 adds 0 at every beta
+        fits = []
         for g in reversed(word):
-            hit = _letter(g, b)
-            if hit is None:
-                break
-            b, _, m = hit
-            v *= m
+            row = rows.get(g)
+            if row is None:
+                form = _fit(letter, g, n)
+                if form is None:
+                    folded.append((word[::-1], v))
+                    break
+                row = rows[g] = (*form, any(form.m))
+            fits.append(row)
         else:
-            out[b] = out.get(b, 0) + v
-    return {b: v for b, v in out.items() if v}
+            delta = (0,) * n
+            floors: dict[int, int] = {}
+            factors = []
+            for step, _, _, m0, m, split in fits:
+                for j, d in enumerate(step):
+                    if d < 0 and delta[j] < 1:
+                        floors[j] = max(floors.get(j, 0), 1 - delta[j])
+                if split:
+                    factors.append((m0 + sum(map(mul, m, delta)),
+                                    tuple((j, mj) for j, mj in enumerate(m) if mj)))
+                else:
+                    v *= m0
+                delta = tuple(map(add, delta, step))
+            if v:
+                fitted.append((tuple(floors.items()), delta if any(delta) else None,
+                               v, factors))
+
+    def value(beta: tuple) -> dict[tuple, int]:
+        if n != len(beta):
+            raise RankMismatch(f"operator rank {n}, exponent rank {len(beta)}")
+        out: dict[tuple, int] = {}
+        for floors, delta, v, factors in fitted:
+            for j, f in floors:
+                if beta[j] < f:
+                    break
+            else:
+                for c, row in factors:
+                    for j, mj in row:
+                        c += beta[j] * mj
+                    v *= c
+                b = beta if delta is None else tuple(map(add, beta, delta))
+                out[b] = out.get(b, 0) + v
+        for word, v in folded:
+            b = beta
+            for g in word:
+                hit = letter(g, b)
+                if hit is None:
+                    break
+                b, _, m = hit
+                v *= m
+            else:
+                out[b] = out.get(b, 0) + v
+        return {b: v for b, v in out.items() if v}
+
+    return value
 
 
 def compose(a: Words, b: Words) -> Words:

@@ -195,6 +195,28 @@ def x_two_more(g, b):
     return hit[0], hit[1], b[g.i - 1] + 2
 
 
+def x_one_off_at_five(g, b):
+    """An uncertified letter: x_1 multiplies by [b_1 + 2] only at b_1 = 5,
+    which the fit's probes at b_1 = 2 and 3 never see."""
+    hit = REAL_LETTER(g, b)
+    if g != X(1) or b[0] != 5:
+        return hit
+    return hit[0], hit[1], hit[2] + 1
+
+
+def reference_euler_eigenvalue(beta):
+    """The loop q_euler_eigenvalue replaced: sum_k theta(eps_k, beta)
+    [beta_k], one shifted q-integer and one Laurent sum per coordinate."""
+    total = LaurentPoly.zero()
+    degree = sum(beta)
+    prefix = 0
+    for bk in beta:
+        # theta(eps_{k+1}, beta) = q^(prefix - suffix)
+        total = total + q_int(bk).shift(prefix - (degree - prefix - bk))
+        prefix += bk
+    return total
+
+
 def reference_classical(n, degree):
     """The loop classical_degeneration_check replaced: apply each generator
     to x^(beta) over Z[q, q^-1], then evaluate every coefficient at q = 1

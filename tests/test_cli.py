@@ -115,6 +115,27 @@ def test_normalize(capsys):
     assert "confirmed" in out
 
 
+def test_normalize_check_above_the_cap_exits_2(capsys, monkeypatch):
+    # 10626 monomials times 128 + 183 words would run for minutes
+    code, out, err = run(capsys, ["normalize", "--n", "4", "--op",
+                                  "[e4 e3 f4 E(1,5), f2 e4]", "--check",
+                                  "--degree", "20"])
+    assert code == 2 and out == ""
+    assert err == ("error: normalize --check at n=4, degree 20 applies 3304686 "
+                   "words (311 words on each of 10626 monomials), above the cap "
+                   "of 200000\n")
+    # d1 x1 and its two-word normal form: 3 words on degree + 1 monomials
+    monkeypatch.setattr(cli, "NORMALIZE_CHECK_CAP", 30)
+    args = ["normalize", "--n", "1", "--op", "d1 x1", "--check", "--degree"]
+    code, out, _ = run(capsys, args + ["9"])
+    assert code == 0 and "confirmed" in out
+    code, out, err = run(capsys, args + ["10"])
+    assert code == 2 and out == "" and "applies 33 words" in err
+    # without --check nothing is swept, so nothing is refused
+    code, out, _ = run(capsys, args[:-2] + ["--degree", "10"])
+    assert code == 0 and out.splitlines()[0] == "q x1 d1 + s1^-1"
+
+
 def test_rootvec(capsys):
     code, out, _ = run(capsys, ["rootvec", "--n", "2", "--i", "1", "--j", "3",
                                 "--degree", "4"])

@@ -16,8 +16,8 @@ from qweyl.uqrealize import (Realization, build_realization, cartan_matrix,
 from qweyl.weylops import (D, Operator, S, T, X, apply, compose,
                            op_eq_up_to_degree, q_bracket)
 
-from helpers import (drop_d_twist, reference_classical, reference_lemma21,
-                     x_two_more)
+from helpers import (drop_d_twist, reference_classical, reference_euler_eigenvalue,
+                     reference_lemma21, x_one_off_at_five, x_two_more)
 
 
 def mono(*entries):
@@ -150,6 +150,13 @@ def test_euler_eigenvalue():
     assert q_euler_eigenvalue(MultiIndex((1, 1))) == q_power(-1) + q_power(1)
 
 
+def test_euler_eigenvalue_matches_its_reference():
+    # exponent counts in one dict give the sum of shifted q-integers
+    for n, degree in ((1, 8), (2, 8), (3, 8), (4, 8), (6, 4)):
+        for beta in monomials_up_to(n, degree):
+            assert q_euler_eigenvalue(beta) == reference_euler_eigenvalue(beta)
+
+
 def test_lemma21():
     # m = 0 is trivially equal; the worked (1,1) -> (2,0) instance
     lhs = q_euler_eigenvalue(MultiIndex((1, 1)))
@@ -220,6 +227,49 @@ def test_lemma21_matches_its_reference(monkeypatch, broken):
         rep = lemma21_check(n, 5)
         assert rep.to_json() == reference_lemma21(n, 5).to_json()
         assert (rep.failed > 0) == (broken and n > 1)
+
+
+def test_lemma21_sweeps_when_one_eigenvalue_is_wrong(monkeypatch):
+    # wrong at one beta only: every other degree class stays constant, so
+    # only the sweep can place the failures, and it must place them as the
+    # reference does
+    real = uqrealize.q_euler_eigenvalue
+    for n in (2, 3, 4):
+        wrong = (0,) * (n - 2) + (1, 2)
+        monkeypatch.setattr(uqrealize, "q_euler_eigenvalue",
+                            lambda beta: real(beta).shift(1 if beta == wrong else 0))
+        rep = lemma21_check(n, 5)
+        assert rep.to_json() == reference_lemma21(n, 5).to_json()
+        assert 0 < rep.failed < len(rep.relations)
+
+
+def test_lemma21_passes_an_eigenvalue_constant_on_each_degree(monkeypatch):
+    # a shift keeps |beta|, so q^|beta| passes every shift, as in the
+    # reference, still read once per beta
+    calls = []
+
+    def by_degree(beta):
+        calls.append(beta)
+        return q_power(sum(beta))
+
+    monkeypatch.setattr(uqrealize, "q_euler_eigenvalue", by_degree)
+    for n in range(1, 5):
+        calls.clear()
+        rep = lemma21_check(n, 5)
+        assert len(calls) == comb(n + 5, n)
+        assert rep.to_json() == reference_lemma21(n, 5).to_json()
+        assert rep.failed == 0 and len(rep.relations) == 7 * (n - 1)
+
+
+@pytest.mark.parametrize("letter", [weylops._letter, drop_d_twist, x_one_off_at_five])
+def test_classical_check_under_faults_matches_its_reference(monkeypatch, letter):
+    # x_one_off_at_five has no certified fit, so every word holding x_1 is
+    # folded through it; the others are read from their fits
+    monkeypatch.setattr(weylops, "_letter", letter)
+    for n in range(1, 5):
+        rep = classical_degeneration_check(n, 6)
+        assert rep.to_json() == reference_classical(n, 6).to_json()
+        assert (rep.failed > 0) == (letter is x_one_off_at_five)
 
 
 @pytest.mark.parametrize("check", [lemma21_check, classical_degeneration_check])

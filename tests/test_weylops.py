@@ -16,8 +16,9 @@ from qweyl.weylops import (D, GenSymbol, Operator, S, T, X, apply,
                            op_eq_up_to_degree, q_bracket,
                            verify_weyl_relations)
 
-from helpers import (drop_d_twist, random_operator, random_word,
-                     reference_normalize, twisted_leibniz_holds, x_two_more)
+from helpers import (REAL_LETTER, drop_d_twist, random_operator, random_word,
+                     reference_normalize, twisted_leibniz_holds, x_one_off_at_five,
+                     x_two_more)
 
 
 def mono(*entries):
@@ -434,8 +435,17 @@ def test_x_letter_q_integer_fault_is_caught(monkeypatch):
     assert verify_serre(2, 4).failed > 0
 
 
+def d_times_two(g, b):
+    # a certified fit whose q-integer is the constant [2]
+    hit = REAL_LETTER(g, b)
+    if g.kind != "D" or hit is None:
+        return hit
+    return hit[0], hit[1], 2
+
+
 LETTERS = {"real": weylops._letter, "no d twist": drop_d_twist,
-           "x two more": x_two_more}
+           "x two more": x_two_more, "x1 off at five": x_one_off_at_five,
+           "d times two": d_times_two}
 Q_MINUS_Q_INV = LaurentPoly({1: 1, -1: -1})  # 0 at q = 1
 
 
@@ -465,6 +475,9 @@ def operators_at_exponents(draw):
 @example((Operator(1, {(X(1), D(1)): LaurentPoly.one(),
                        (): LaurentPoly({0: -1})}), (1,)), "real")
 @example((Operator.from_word(2, [X(2), D(1)], Q_MINUS_Q_INV), (1, 1)), "x two more")
+# x_1 has no certified fit here, so the word is folded through it
+@example((Operator.from_word(2, [X(1), X(2), D(2)], q_power(2)), (5, 1)),
+         "x1 off at five")
 def test_apply_at_one_matches_apply_at_q_one(case, name):
     op, beta = case
     with mock.patch.object(weylops, "_letter", LETTERS[name]):
