@@ -7,16 +7,17 @@ Braid symmetries are formal substitutions on words over {E_i, F_i, K^v}; no
 algebra relations are encoded beyond merging adjacent K symbols.  All
 semantic claims, the rootvec command's agreement line included, are
 settled by weylops.decide, on q-difference forms when every side has one and
-by sweeping actions on monomials otherwise.  The braid checks act with
-rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} through a twist (_Twist), whose one loop
-builds each prefix's values from the previous prefix's without recursion:
-forms, composed without expanding words, that act through
-weylops.form_apply; and word counts and the expansions braid_root_vector
-returns.
+by sweeping actions on monomials otherwise.  The braid checks and lemma34's
+T_s act with rho ∘ T_{i_1} ∘ ... ∘ T_{i_t} through a twist (_Twist), whose
+one loop builds each prefix's values from the previous prefix's without
+recursion: forms, composed by weylops.words_form and acting through
+weylops.form_apply; word counts; and the expansions braid_root_vector
+returns, which apply_formal acts with through weylops.words_act.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from math import prod
 from typing import NamedTuple
@@ -28,8 +29,8 @@ from .qring import exact_div, q_int, q_power
 from .report import VerificationReport
 from .uqrealize import (Realization, build_realization, diagonal_sigma_op,
                         q_euler_eigenvalue, root_op)
-from .weylops import (Operator, QForm, Words, apply, decide, form_apply,
-                      form_product, form_sum, operator_form, q_bracket)
+from .weylops import (Operator, QForm, Side, Words, apply, decide, form_apply,
+                      operator_form, q_bracket, words_act, words_form)
 
 
 class UqSymbol(NamedTuple):
@@ -145,18 +146,10 @@ def evaluate(expr: FormalUq, r: Realization) -> Operator:
 def apply_formal(expr: FormalUq, r: Realization, elem: Element) -> Element:
     """Act with a formal expression without materializing the composed
     operator: the realized letters (r.realize) are applied one at a time,
-    right to left."""
+    right to left (weylops.words_act)."""
     if expr.n != r.n:
         raise RankMismatch(f"expression rank {expr.n}, realization rank {r.n}")
-    total = Element.zero(elem.n)
-    for word, coeff in expr.terms.items():
-        cur = elem
-        for s in reversed(word):
-            cur = apply(r.realize(s), cur)
-            if cur.is_zero():
-                break
-        total = total + cur.scale(coeff)
-    return total
+    return words_act(expr.terms, lambda s, x: apply(r.realize(s), x), elem)
 
 
 # _Twist.expansion refuses to expand an expression with more words than this.
@@ -191,8 +184,8 @@ class _Twist:
 
     def form(self, t: int, s: UqSymbol) -> QForm | None:
         """The form of sigma_t(s); None when a realized letter has no fit."""
-        return self._fill(self._forms, t, s,
-                          lambda x: operator_form(self.r.realize(x)), self._form_sum)
+        return self._fill(self._forms, t, s, lambda x: operator_form(self.r.realize(x)),
+                          lambda img, v: words_form(img.terms, v, self.r.n))
 
     def word_count(self, t: int, s: UqSymbol) -> int:
         """Words of T_{i_1}...T_{i_t}(s) before like terms are collected."""
@@ -209,12 +202,6 @@ class _Twist:
         n = self.r.n
         return self._fill(self._expansions, t, s, lambda x: FormalUq.from_word(n, [x]),
                           lambda img, v: img.substitute(v, FormalUq.identity(n)))
-
-    def _form_sum(self, img: FormalUq, v) -> QForm | None:
-        factors = [(c, list(map(v, w))) for w, c in img.terms.items()]
-        if any(None in f for _, f in factors):
-            return None
-        return form_sum([(c, form_product(f, self.r.n)) for c, f in factors])
 
     def _fill(self, memo: dict, t: int, s: UqSymbol, leaf, combine):
         """memo[t, s], with every entry it rests on: memo[0, x] is leaf(x),
@@ -376,25 +363,23 @@ def prop32_check(n: int, degree: int) -> VerificationReport:
     if n < 2:
         raise InvalidArgs("needs n >= 2")
     rep = VerificationReport("prop32", n, degree, rank_sl=n + 1)
+    root = cache(lambda i, j: Side.leaf(n, root_op(i, j, n)))  # one leaf per pair
     q = q_power(1)
     qinv = q_power(-1)
     den = q - qinv
     for s in range(1, n):
         decide(rep, f"item1:s={s}",
-               q_bracket(root_op(s, s + 1, n), root_op(s + 1, n + 1, n), q),
-               root_op(s, n + 1, n))
+               q_bracket(root(s, s + 1), root(s + 1, n + 1), q), root(s, n + 1))
         for j in range(s + 1, n + 1):
             decide(rep, f"item2:s={s},j={j}",
-                   q_bracket(root_op(s, j, n), root_op(j, n + 1, n), q),
-                   root_op(s, n + 1, n))
+                   q_bracket(root(s, j), root(j, n + 1), q), root(s, n + 1))
         for j in range(s + 1, n + 1):
             decide(rep, f"item3:s={s},j={j}",
-                   q_bracket(root_op(n + 1, j, n), root_op(j, s, n), qinv),
-                   root_op(n + 1, s, n))
+                   q_bracket(root(n + 1, j), root(j, s), qinv), root(n + 1, s))
         plus = [1] * n
         plus[s - 1] += 1
         num = diagonal_sigma_op(n, plus) - diagonal_sigma_op(n, [-x for x in plus])
-        bracket = q_bracket(root_op(s, n + 1, n), root_op(n + 1, s, n), 1)
+        bracket = q_bracket(root(s, n + 1), root(n + 1, s), 1)
         decide(rep, f"item4:s={s}", bracket, num, den)
     return rep
 
@@ -444,16 +429,17 @@ def lemma34_check(n: int, degree: int) -> VerificationReport:
         raise InvalidArgs("needs n >= 2")
     rep = VerificationReport("lemma34", n, degree, rank_sl=n + 1)
     r = build_realization(n)
+    root = cache(lambda i, j: Side.leaf(n, root_op(i, j, n)))  # one leaf per pair
     q = q_power(1)
     qinv = q_power(-1)
     for s in range(1, n):
-        te = evaluate(lusztig_T(s, FormalUq.from_word(n, [symE(s)])), r)
-        tf = evaluate(lusztig_T(s, FormalUq.from_word(n, [symF(s)])), r)
+        twist = _Twist(r, (s,))
+        te, tf = (Side.leaf(n, twist.side(1, g)) for g in (symE(s), symF(s)))
         for j in range(s + 2, n + 2):
-            decide(rep, f"part1:s={s},j={j}", q_bracket(root_op(s, j, n), te, q),
-                   root_op(s + 1, j, n))
-            decide(rep, f"part2:s={s},j={j}", q_bracket(tf, root_op(j, s, n), qinv),
-                   root_op(j, s + 1, n))
+            decide(rep, f"part1:s={s},j={j}", q_bracket(root(s, j), te, q),
+                   root(s + 1, j))
+            decide(rep, f"part2:s={s},j={j}", q_bracket(tf, root(j, s), qinv),
+                   root(j, s + 1))
     return rep
 
 

@@ -16,8 +16,8 @@ from .errors import InvalidArgs, InvalidIndex, RankMismatch
 from .qindex import MultiIndex
 from .qring import LaurentPoly, q_int, q_power
 from .report import VerificationReport
-from .weylops import (D, Operator, S, T, X, at_one, compose, decide, normalize,
-                      q_bracket)
+from .weylops import (D, Operator, S, Side, T, X, at_one, compose, decide,
+                      normalize, q_bracket)
 
 
 def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -204,33 +204,35 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
     den = q - q_power(-1)
     two = q + q_power(-1)
 
-    ident = Operator.identity(n)
+    e, f, K, K_inv = ([Side.leaf(n, op) for op in ops]
+                      for ops in (r.e, r.f, r.K, r.K_inv))
+    ident = Side.identity(n)
     for i in range(1, n + 1):
-        Ki, Kinv = r.K[i - 1], r.K_inv[i - 1]
+        Ki, Kinv = K[i - 1], K_inv[i - 1]
         decide(rep, f"R1:i={i}", compose(Ki, Kinv), ident,
                parts=[(compose(Kinv, Ki), ident, None)])
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            decide(rep, f"R1:i={i},j={j}", compose(r.K[i - 1], r.K[j - 1]),
-                   compose(r.K[j - 1], r.K[i - 1]))
+            decide(rep, f"R1:i={i},j={j}", compose(K[i - 1], K[j - 1]),
+                   compose(K[j - 1], K[i - 1]))
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             a = A[i - 1][j - 1]
-            conj_e = compose(r.K[i - 1], compose(r.e[j - 1], r.K_inv[i - 1]))
-            conj_f = compose(r.K[i - 1], compose(r.f[j - 1], r.K_inv[i - 1]))
-            decide(rep, f"R2:i={i},j={j}", conj_e, r.e[j - 1].scale(q_power(a)),
-                   parts=[(conj_f, r.f[j - 1].scale(q_power(-a)), None)])
+            conj_e = compose(K[i - 1], compose(e[j - 1], K_inv[i - 1]))
+            conj_f = compose(K[i - 1], compose(f[j - 1], K_inv[i - 1]))
+            decide(rep, f"R2:i={i},j={j}", conj_e, e[j - 1].scale(q_power(a)),
+                   parts=[(conj_f, f[j - 1].scale(q_power(-a)), None)])
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             # [e_i, f_j] = delta_ij (K_i - K_i^-1) / (q - q^-1)
-            num = r.K[i - 1] - r.K_inv[i - 1] if i == j else Operator.zero(n)
-            decide(rep, f"R3:i={i},j={j}", q_bracket(r.e[i - 1], r.f[j - 1], 1),
+            num = K[i - 1] - K_inv[i - 1] if i == j else Side.zero(n)
+            decide(rep, f"R3:i={i},j={j}", q_bracket(e[i - 1], f[j - 1], 1),
                    num, den)
 
     # quantum Serre (R4 for e, R6 for f) and far commutation (R5, R7)
-    for serre_id, far_id, gens in (("R4", "R5", r.e), ("R6", "R7", r.f)):
+    for serre_id, far_id, gens in (("R4", "R5", e), ("R6", "R7", f)):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if abs(i - j) != 1:
@@ -239,7 +241,7 @@ def verify_serre(n: int, degree: int, realization: Realization | None = None
                 lhs = (compose(gi, compose(gi, gj))
                        - compose(gi, compose(gj, gi)).scale(two)
                        + compose(gj, compose(gi, gi)))
-                decide(rep, f"{serre_id}:i={i},j={j}", lhs, Operator.zero(n))
+                decide(rep, f"{serre_id}:i={i},j={j}", lhs, Side.zero(n))
         for i in range(1, n + 1):
             for j in range(i + 2, n + 1):
                 decide(rep, f"{far_id}:i={i},j={j}",
@@ -259,25 +261,26 @@ def verify_gl(n: int, degree: int) -> VerificationReport:
     r = build_realization(n)
     rep = VerificationReport("gl", n, degree)
 
-    def k(i, e=1):
-        return Operator.from_word(n, [S(i, e)])
+    e, f = ([Side.leaf(n, op) for op in ops] for ops in (r.e, r.f))
+    k = {(i, s): Side.leaf(n, Operator.from_word(n, [S(i, s)]))
+         for i in range(1, n + 1) for s in (1, -1)}
 
     for i in range(1, n + 1):
-        decide(rep, f"k-inv:i={i}", compose(k(i), k(i, -1)), Operator.identity(n))
+        decide(rep, f"k-inv:i={i}", compose(k[i, 1], k[i, -1]), Side.identity(n))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            decide(rep, f"k-comm:i={i},j={j}", compose(k(i), k(j)),
-                   compose(k(j), k(i)))
+            decide(rep, f"k-comm:i={i},j={j}", compose(k[i, 1], k[j, 1]),
+                   compose(k[j, 1], k[i, 1]))
     for i in range(1, n):
-        decide(rep, f"K-factor:i={i}", r.K[i - 1], compose(k(i), k(i + 1, -1)))
+        decide(rep, f"K-factor:i={i}", r.K[i - 1], compose(k[i, 1], k[i + 1, -1]))
     for i in range(1, n + 1):
         for j in range(1, n):
             # <eps_i, alpha_j> = delta_{ij} - delta_{i,j+1}
             w = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-            conj_e = compose(k(i), compose(r.e[j - 1], k(i, -1)))
-            conj_f = compose(k(i), compose(r.f[j - 1], k(i, -1)))
-            decide(rep, f"k-e:i={i},j={j}", conj_e, r.e[j - 1].scale(q_power(w)))
-            decide(rep, f"k-f:i={i},j={j}", conj_f, r.f[j - 1].scale(q_power(-w)))
+            conj_e = compose(k[i, 1], compose(e[j - 1], k[i, -1]))
+            conj_f = compose(k[i, 1], compose(f[j - 1], k[i, -1]))
+            decide(rep, f"k-e:i={i},j={j}", conj_e, e[j - 1].scale(q_power(w)))
+            decide(rep, f"k-f:i={i},j={j}", conj_f, f[j - 1].scale(q_power(-w)))
     return rep
 
 

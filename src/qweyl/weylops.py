@@ -6,21 +6,21 @@ usual composition order x_i d_{i+1} sigma_i.  Every letter formula lives in
 _letter, and the action it defines is the authority: the sweep compares two
 actions on all basis monomials up to a degree bound, and the symbolic decider
 compares their q-difference forms, fitted to _letter, on every monomial of
-every degree; a side that is not an Operator, such as a braid twist, may
-give its form too.  Each fit is certified on symbolic exponents, where
-every path through _letter's branches must return what the fit predicts (a
-letter that inspects its exponents' type may take another path than on
-ints), so forms are exact on all of N^n.  _word_fit, the one fold of a word's
-fits, serves the forms and at_one's reading at q = 1.  decide skips the sweep
-only when the forms agree, so a skipped sweep is one that would have passed; a
-failing relation is always reported by the sweep.  The rewriting system that
-produces normal forms is checked against the same action.
+every degree; a Side, like a braid twist, keeps its products' factors and
+composes their forms.  Each fit is certified on symbolic exponents, where every
+path through _letter's branches must return what the fit predicts (a letter
+that inspects its exponents' type may take another path than on ints), so forms
+are exact on all of N^n.  _word_fit, the one fold of a word's fits, serves the
+forms and at_one's reading at q = 1.  decide skips the sweep only when the
+forms agree, so a skipped sweep is one that would have passed; a failing
+relation is always reported by the sweep.  The rewriting system that produces
+normal forms is checked against the same action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partialmethod
+from functools import cache, lru_cache, partialmethod
 from math import prod
 from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import NamedTuple
@@ -353,7 +353,7 @@ def compose(a: Words, b: Words) -> Words:
     return a._raw(a.n, out)
 
 
-def q_bracket(a: Operator, b: Operator, c: LaurentPoly | int) -> Operator:
+def q_bracket(a: Words, b: Words, c: LaurentPoly | int) -> Words:
     """The deformed commutator [a, b]_c = a b - c b a."""
     a._check(b)
     return compose(a, b) - compose(b, a).scale(c)
@@ -600,10 +600,10 @@ def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
 # their forms are equal.  The lattice action of a sum of products is the sum
 # of the composed actions, so form_sum and form_compose give the form of any
 # operator built from letters, however it is written: a word, an Operator,
-# or a braid twist (rootvec._Twist); each letter's fit is certified, so forms
-# are exact at every degree, and a side's action is its form read at
-# Q = q^beta (form_apply).  decide is the one entry: it proves a relation
-# when _difference has no terms, and sweeps only when it does not.
+# a Side or a braid twist (rootvec._Twist); each letter's fit is certified,
+# so forms are exact at every degree, and a twisted side's action is its form
+# read at Q = q^beta (form_apply).  decide is the one entry: it proves a
+# relation when _difference has no terms, and sweeps only when it does not.
 
 _DEN = q_power(1) - q_power(-1)
 
@@ -874,6 +874,8 @@ def form_apply(form: QForm, elem: Element) -> Element:
     """The action form describes: x^(beta) goes to N(q, q^beta) / (q - q^-1)^k
     times x^(beta + delta) for each shift delta, dropping the shifts that
     leave N^n; exact_div divides, and raises NotDivisible rather than round."""
+    if any(len(delta) != elem.n for delta in form.terms):
+        raise RankMismatch(f"a form's shifts differ in rank from element rank {elem.n}")
     out: dict[tuple, LaurentPoly] = {}
     for beta, c in elem.terms.items():
         for delta, (k, num) in form.terms.items():
@@ -972,6 +974,55 @@ def operator_form(op: Operator) -> QForm | None:
     return None if parts is None else form_sum(parts)
 
 
+def words_form(terms, leaf_form, n: int) -> QForm | None:
+    """The form of a word combination {w: c}: each word's letters' forms
+    leaf_form(l) composed by form_product; None when a letter has none."""
+    factors = [(c, list(map(leaf_form, w))) for w, c in terms.items()]
+    if any(None in f for _, f in factors):
+        return None
+    return form_sum([(c, form_product(f, n)) for c, f in factors])
+
+
+def words_act(terms, act, elem: Element) -> Element:
+    """A word combination {w: c} acting on elem, act(l, x) being the letter
+    l acting on x: each word's letters act right to left until one gives 0."""
+    total = Element.zero(elem.n)
+    for word, coeff in terms.items():
+        cur = elem
+        for leaf in reversed(word):
+            cur = act(leaf, cur)
+            if cur.is_zero():
+                break
+        total = total + cur.scale(coeff)
+    return total
+
+
+class Side(Words):
+    """A relation side kept as a sum of products of leaves, built from leaf,
+    identity and zero by +, -, scale, compose and q_bracket.  No word is
+    rewritten, so a product keeps its factors: form() composes the leaves'
+    forms (words_form), a call applies them right to left (words_act)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def leaf(cls, n: int, x) -> Side:
+        """x alone: a side with form(), such as rootvec._TwistSide, or an
+        Operator of rank n, acting by apply, whose form is read once per leaf."""
+        if isinstance(x, Operator):
+            cls.zero(n)._check(x)
+            op, x = x, lambda elem: apply(op, elem)
+            x.form = cache(lambda: operator_form(op))
+        return cls._raw(n, {(x,): LaurentPoly.one()})
+
+    def form(self) -> QForm | None:
+        return words_form(self.terms, lambda leaf: leaf.form(), self.n)
+
+    def __call__(self, elem: Element) -> Element:
+        self._check(elem)
+        return words_act(self.terms, lambda leaf, x: leaf(x), elem)
+
+
 def _difference(a, b, den: LaurentPoly | None = None) -> QForm | None:
     """The form of den * a - b, None when a side has no form (see _parts).
     It has no terms iff a = b / den on every monomial of every degree."""
@@ -992,9 +1043,9 @@ def decide(rep: VerificationReport, rel_id: str, lhs, rhs,
     """Decide the relation lhs = rhs / den and then each (lhs, rhs, den) of
     parts, on every monomial of degree <= rep.degree, in order.  A side is
     an Operator or a callable Element -> Element; a callable that also has
-    a form() method, returning its QForm or None, gives its form that way.
-    Records the first failing part's counterexample under rel_id, or a
-    pass, and returns that part's result (the last one when all pass).
+    a form() method, returning its QForm or None, gives its form that way,
+    as a Side does.  Records the first failing part's counterexample under
+    rel_id, or a pass, and returns that part's result (the last when all pass).
 
     When every side has a form and every part's forms are equal, the
     relation holds on every monomial of every degree (see _proved), so the
