@@ -20,7 +20,7 @@ class LaurentPoly:
 
     Stored sparsely as ``{exponent: coefficient}``.  Instances are treated
     as immutable: no method mutates ``terms`` after construction, and
-    callers must not either (q_binom hands out cached objects).
+    callers must not either (q_binom and q_int hand out cached objects).
 
     >>> (q_power(1) + q_power(-1)) * (q_power(1) - q_power(-1))
     LaurentPoly('q^2-q^-2')
@@ -228,6 +228,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return _raw(quot)
 
 
+@lru_cache(maxsize=None)
 def q_int(m: int) -> LaurentPoly:
     """The balanced q-integer [m] = (q^m - q^-m)/(q - q^-1).
 
@@ -296,7 +297,7 @@ class LinComb:
     a word of symbols.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_sorted")
     _json_field = "word"
 
     @classmethod
@@ -348,8 +349,13 @@ class LinComb:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
+    def sorted_terms(self) -> tuple:
+        """The terms in _sort_key order, sorted once (terms never change):
+        a printed combination's __str__ and to_json both read it."""
+        if not hasattr(self, "_sorted"):
+            key = self._sort_key
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0])))
+        return self._sorted
 
     @staticmethod
     def _key_text(word) -> str:

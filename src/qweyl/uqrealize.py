@@ -341,27 +341,29 @@ def lemma21_check(n: int, max_degree: int = 5) -> VerificationReport:
     return rep
 
 
-def _classical_action(kind: str, i: int, beta: MultiIndex) -> dict[MultiIndex, int]:
+def _classical_action(kind: str, i: int, beta: MultiIndex) -> dict[tuple, int]:
     """Independent oracle: the classical divided-power action of the q=1
     limits (x_i d_{i+1}, x_{i+1} d_i, x_n * Euler, -d_n, identity)."""
-    n = beta.n
+    n = len(beta)
     if kind == "e":
         if i < n:
             if beta[i] == 0:
                 return {}
-            return {beta.bump(i, 1).bump(i + 1, -1): beta[i - 1] + 1}
-        total = beta.degree()
+            return {(*beta[:i - 1], beta[i - 1] + 1, beta[i] - 1, *beta[i + 1:]):
+                    beta[i - 1] + 1}
+        total = sum(beta)
         if total == 0:
             return {}
-        return {beta.bump(n, 1): (beta[n - 1] + 1) * total}
+        return {(*beta[:-1], beta[-1] + 1): (beta[-1] + 1) * total}
     if kind == "f":
         if i < n:
             if beta[i - 1] == 0:
                 return {}
-            return {beta.bump(i, -1).bump(i + 1, 1): beta[i] + 1}
-        if beta[n - 1] == 0:
+            return {(*beta[:i - 1], beta[i - 1] - 1, beta[i] + 1, *beta[i + 1:]):
+                    beta[i] + 1}
+        if beta[-1] == 0:
             return {}
-        return {beta.bump(n, -1): -1}
+        return {(*beta[:-1], beta[-1] - 1): -1}
     if kind in ("K", "Kinv"):
         return {beta: 1}
     raise InvalidArgs(f"unknown generator kind {kind!r}")

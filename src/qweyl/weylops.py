@@ -11,10 +11,10 @@ composes their forms.  Each fit is certified on symbolic exponents, where every
 path through _letter's branches must return what the fit predicts (a letter
 that inspects its exponents' type may take another path than on ints), so forms
 are exact on all of N^n.  _word_fit, the one fold of a word's fits, serves the
-forms and at_one's reading at q = 1.  decide skips the sweep only when the
-forms agree, so a skipped sweep is one that would have passed; a failing
-relation is always reported by the sweep.  The rewriting system that produces
-normal forms is checked against the same action.
+forms and _compiled, which the sweep's _reader and at_one (q = 1) read.  decide
+skips the sweep only when the forms agree, so a skipped sweep is one that would
+have passed; a failing relation is always reported by the sweep.  The rewriting
+system that produces normal forms is checked against the same action.
 """
 
 from __future__ import annotations
@@ -292,34 +292,83 @@ def apply_at_one(op: Operator, beta: tuple) -> dict[tuple, int]:
     return at_one(op)(beta)
 
 
-def at_one(op: Operator):
-    """beta -> apply(op, x^(beta)) specialized at q = 1: {b: nonzero int}.
-
-    _letter is read once, here, and each word is read once from its
-    _word_fit: it kills x^(beta) iff some beta_j is below its floor, and
-    otherwise sends it to coeff(1) times its constant and affine factors,
-    at beta plus its shift; the affine factors keep only their nonzero
-    coordinates.  The q-shifts are dropped and [m] is m at q = 1:
-    evaluating at q = 1 is a ring map, so this is exact.  When some word
-    has no fit, the function is apply(op, x^(beta)) read at q = 1, and
-    apply reads _letter on each call.
-    """
-    letter, n = _letter, op.n
-    fitted = []  # (floors, shift or None, coeff(1) times constant factors, factors)
+def _compiled(op: Operator) -> list | None:
+    """Each word of op with c != 0, read once from its _word_fit under
+    _letter as read now: (floors, delta, c, off, factors), c its coefficient
+    times q^p and its [m0]s, delta and off None when zero, and each factor's
+    m kept on its nonzero (j, m_j).  None when some word has no fit."""
+    out, letter = [], _letter
     for word, coeff in op.terms.items():
-        fit = _word_fit(letter, word, n)
+        fit = _word_fit(letter, word, op.n)
         if fit is None:
-            def by_apply(beta: tuple) -> dict[tuple, int]:
-                out = apply(op, Element.monomial(MultiIndex(beta)))
-                return {b: v for b, c in out.terms.items() if (v := c.eval_at_one())}
-            return by_apply
-        delta, floors, _, _, consts, factors = fit
-        v = coeff.eval_at_one() * prod(consts)
-        if v:  # a word that is 0 at q = 1 adds 0 at every beta
-            factors = [(a, tuple((j, mj) for j, mj in enumerate(m) if mj))
-                       for a, m in factors]
-            fitted.append((tuple(floors.items()), delta if any(delta) else None,
-                           v, factors))
+            return None
+        delta, floors, p, off, consts, factors = fit
+        c = coeff.shift(p) * prod(map(q_int, consts))
+        if c:
+            out.append((tuple(floors.items()), delta if any(delta) else None, c,
+                        off if any(off) else None,
+                        [(a, tuple((j, v) for j, v in enumerate(m) if v))
+                         for a, m in factors]))
+    return out
+
+
+def _reader(op: Operator):
+    """elem -> apply(op, elem) from _compiled(op): at x^(beta), a word past
+    its floors is c q^(off.beta) times the product of its [a + m.beta] other
+    than [1], computed once per reader, or 0 at a [0].  apply when some word
+    has no fit."""
+    compiled, n, products = _compiled(op), op.n, {}
+    if compiled is None:
+        return lambda elem: apply(op, elem)
+
+    def value(elem: Element) -> Element:
+        if elem.n != n:
+            raise RankMismatch(f"operator rank {n}, element rank {elem.n}")
+        out: dict[tuple, LaurentPoly] = {}
+        for beta, cb in elem.terms.items():
+            unit = cb.terms == {0: 1}  # as on every monomial of a sweep
+            for floors, delta, c, off, factors in compiled:
+                for j, f in floors:
+                    if beta[j] < f:
+                        break
+                else:
+                    ms = []
+                    for a, row in factors:
+                        for j, mj in row:
+                            a += beta[j] * mj
+                        if a != 1:
+                            if not a:
+                                break
+                            ms.append(a)
+                    else:
+                        if off is not None:
+                            c = c.shift(sum(map(mul, off, beta)))
+                        if ms:
+                            ms = tuple(sorted(ms))
+                            if ms not in products:
+                                products[ms] = prod(map(q_int, ms))
+                            c = c * products[ms]
+                        b = beta if delta is None else tuple(map(add, beta, delta))
+                        accumulate(out, b, c if unit else cb * c)
+        return Element._raw(n, {MultiIndex(b): c for b, c in out.items()})
+
+    return value
+
+
+def at_one(op: Operator):
+    """beta -> apply(op, x^(beta)) at q = 1: {b: nonzero int}, from
+    _compiled(op) with c read at q = 1, [m] as m and the q-shifts dropped,
+    which is exact as q = 1 is a ring map.  When some word has no fit, it is
+    apply read at q = 1, and apply reads _letter on each call."""
+    compiled, n = _compiled(op), op.n
+    if compiled is None:
+        def by_apply(beta: tuple) -> dict[tuple, int]:
+            out = apply(op, Element.monomial(MultiIndex(beta)))
+            return {b: v for b, c in out.terms.items() if (v := c.eval_at_one())}
+        return by_apply
+    # a word that is 0 at q = 1 adds 0 at every beta
+    fitted = [(floors, delta, v, factors)
+              for floors, delta, c, _, factors in compiled if (v := c.eval_at_one())]
 
     def value(beta: tuple) -> dict[tuple, int]:
         if n != len(beta):
@@ -567,10 +616,10 @@ def sweep_actions(lhs_fn, rhs_fn, n: int, degree: int) -> OpEqResult:
 
 
 def _action(side, den: LaurentPoly | None = None):
-    """A relation side as a monomial action: an Operator is applied, any
-    other side is a callable Element -> Element.  With den, each result is
+    """A relation side as a monomial action: an Operator acts by its _reader,
+    any other side is a callable Element -> Element.  With den, each result is
     divided exactly by den, or is None when some coefficient does not divide."""
-    act = (lambda m: apply(side, m)) if isinstance(side, Operator) else side
+    act = _reader(side) if isinstance(side, Operator) else side
     if den is None:
         return act
     return lambda m: divide_element(act(m), den)
@@ -578,8 +627,8 @@ def _action(side, den: LaurentPoly | None = None):
 
 def op_eq_up_to_degree(a: Operator, b: Operator, degree: int,
                        den: LaurentPoly | None = None) -> OpEqResult:
-    """Action equality of two operators on every monomial of degree <= degree.
-    With den, compare a with b / den, dividing each coefficient exactly."""
+    """Action equality of two operators, each acting by its _reader, on every
+    monomial of degree <= degree.  With den, compare a with b / den exactly."""
     a._check(b)
     return sweep_actions(_action(a), _action(b, den), a.n, degree)
 
@@ -1005,6 +1054,13 @@ class Side(Words):
 
     __slots__ = ()
 
+    def __init__(self, n: int, terms=None):  # words of leaves (see leaf)
+        self.n, self.terms = n, {}
+        for word, coeff in (terms or {}).items():
+            if not all(callable(getattr(leaf, "form", None)) for leaf in word):
+                raise InvalidArgs("a Side's leaves are callables with form()")
+            accumulate(self.terms, tuple(word), coeff)
+
     @classmethod
     def leaf(cls, n: int, x) -> Side:
         """x alone: a side with form(), such as rootvec._TwistSide, or an
@@ -1021,6 +1077,13 @@ class Side(Words):
     def __call__(self, elem: Element) -> Element:
         self._check(elem)
         return words_act(self.terms, lambda leaf, x: leaf(x), elem)
+
+    def __str__(self) -> str:  # leaves have no order and no text
+        longest = max(map(len, self.terms), default=0)
+        return f"{len(self.terms)} words of at most {longest} leaves, rank {self.n}"
+
+    def to_json(self) -> dict:
+        raise TypeError("a Side has no JSON form: its leaves are callables")
 
 
 def _difference(a, b, den: LaurentPoly | None = None) -> QForm | None:

@@ -221,3 +221,21 @@ def test_repeated_main_matches_a_fresh_parser(capsys, monkeypatch):
     assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0]
     assert "invalid choice" in reused[1][2]
     assert reused[2][1].startswith("usage: qweyl")
+
+
+def test_normalize_check_fails_under_a_dropped_sigma_term(capsys, monkeypatch):
+    # criterion 11(a)'s fault: d_i x_i loses its sigma_i^-1 term, so the
+    # normal form no longer acts as the operator, first at x^(0)
+    orig = weylops._rewrite_pair
+
+    def bad_rewrite(a, b):
+        out = orig(a, b)
+        if a.kind == "D" and b.kind == "X" and a.i == b.i:
+            return out[:1]
+        return out
+
+    monkeypatch.setattr(weylops, "_rewrite_pair", bad_rewrite)
+    code, out, _ = run(capsys, ["normalize", "--n", "1", "--op", "d1 x1", "--check",
+                                "--degree", "2"])
+    assert code == 1
+    assert out.splitlines()[-1] == "check FAILED at beta=[0]"

@@ -81,3 +81,19 @@ def test_str_and_repr(kind):
     assert str(a) == TEXT[kind]
     assert repr(a) == f"{type(a).__name__}({TEXT[kind]})"
     assert str(type(a).zero(a.n)) == "0"
+
+
+def test_printing_a_normal_form_sorts_it_once(monkeypatch):
+    # normalize, act and rootvec print each combination as text and as JSON
+    from qweyl.exprparse import parse_operator
+    from qweyl.weylops import normalize
+
+    nf = normalize(parse_operator("[E(1,3), E(2,1) x1]_{q^-1}", 2))
+    text, data = str(nf), nf.to_json()
+    nf = normalize(parse_operator("[E(1,3), E(2,1) x1]_{q^-1}", 2))
+    calls = []
+    key = Operator._sort_key
+    monkeypatch.setattr(Operator, "_sort_key",
+                        staticmethod(lambda word: calls.append(word) or key(word)))
+    assert (str(nf), nf.to_json()) == (text, data)
+    assert len(calls) == len(nf.terms) > 1

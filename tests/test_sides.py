@@ -7,9 +7,9 @@ import pytest
 
 from qweyl import rootvec, weylops
 from qweyl.aqn import Element, monomials_up_to
-from qweyl.errors import RankMismatch
+from qweyl.errors import InvalidArgs, RankMismatch
 from qweyl.qindex import MultiIndex
-from qweyl.qring import LaurentPoly
+from qweyl.qring import LaurentPoly, q_power
 from qweyl.rootvec import (_Twist, default_braid_word, evaluate, lemma34_check,
                            prop32_check, symE, symF)
 from qweyl.uqrealize import build_realization, root_op, verify_serre
@@ -140,3 +140,19 @@ def test_lemma34_reaches_t_s_through_the_twist(monkeypatch):
     assert rep["failed"] > 0
     forms_off(monkeypatch)
     assert lemma34_check(3, 3).to_json() == rep
+
+
+def test_a_side_is_built_from_leaves_and_prints_its_shape():
+    r = build_realization(2)
+    e1, f1 = Side.leaf(2, r.e[0]), Side.leaf(2, r.f[0])
+    side = e1 + compose(f1, e1).scale(q_power(1))
+    (f1_word,) = f1.terms  # a zero coefficient is dropped
+    rebuilt = Side(2, {**side.terms, f1_word: LaurentPoly()})
+    assert rebuilt == side and rebuilt.form() == side.form()
+    assert_acts_as(rebuilt, r.e[0] + compose(r.f[0], r.e[0]).scale(q_power(1)), 3)
+    with pytest.raises(InvalidArgs):
+        Side(2, {(r.e[0],): LaurentPoly.one()})  # an Operator is not a leaf
+    assert str(e1 + f1) == "2 words of at most 1 leaves, rank 2"
+    assert repr(side) == "Side(2 words of at most 2 leaves, rank 2)"
+    with pytest.raises(TypeError, match="Side"):
+        side.to_json()

@@ -16,9 +16,9 @@ from qweyl.weylops import (D, GenSymbol, Operator, S, T, X, apply,
                            op_eq_up_to_degree, q_bracket,
                            verify_weyl_relations)
 
-from helpers import (REAL_LETTER, drop_d_twist, random_operator, random_word,
-                     reference_normalize, twisted_leibniz_holds, x_one_off_at_five,
-                     x_two_more)
+from helpers import (REAL_LETTER, drop_d_twist, random_laurent, random_operator,
+                     random_word, reference_normalize, twisted_leibniz_holds,
+                     x_one_off_at_five, x_two_more)
 
 
 def mono(*entries):
@@ -508,3 +508,34 @@ def test_at_one_through_apply_checks_the_rank(monkeypatch):
     for beta in ((5,), (5, 1, 0)):
         with pytest.raises(RankMismatch):
             act(beta)
+
+
+@st.composite
+def operators_on_elements(draw):
+    """(op, elem) at rank 1-3: helpers.random_operator, and an element of up
+    to four terms with random Laurent coefficients and entries up to 5."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 3))
+    op = random_operator(rng, n, max_words=4, max_len=6)
+    betas = [MultiIndex(rng.randint(0, 5) for _ in range(n))
+             for _ in range(rng.randint(1, 4))]
+    return op, Element(n, {beta: random_laurent(rng) for beta in betas})
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators_on_elements(), st.sampled_from(sorted(LETTERS)))
+def test_reader_matches_apply(case, name):
+    # the sweep's reader of compiled word fits against the letter fold; a
+    # word through the uncertified x_1 sends the whole operator to apply
+    op, elem = case
+    with mock.patch.object(weylops, "_letter", LETTERS[name]):
+        fallback = weylops._compiled(op) is None
+        if name == "x1 off at five":
+            assert fallback == any(X(1) in word for word in op.terms)
+        with mock.patch.object(weylops, "apply", wraps=apply) as spy:
+            read = weylops._reader(op)
+            got = read(elem)
+            assert spy.called == fallback
+            with pytest.raises(RankMismatch):
+                read(Element.unit(op.n + 1))
+        assert got == apply(op, elem)
